@@ -1,18 +1,13 @@
-//! Functional array-level executors for the unary computing schemes.
+//! Functional execution statistics of the GEMM executors.
 //!
-//! These run a complete (lowered) GEMM through the weight-stationary tile
-//! mapping with the cycle-level row model of [`crate::pe`], including the
-//! reduced-resolution binary accumulation and the top-row shifters of the
-//! early-termination path.
+//! The unary schemes run through the one weight-stationary tile sweep of
+//! [`crate::array2d`] (per-window kernels, the Fig. 7 M-end cascade of
+//! reduced-resolution OREGs, the top-row shifters); [`ExecStats`] is the
+//! functional summary [`crate::exec::GemmExecutor`] reports for it,
+//! derived from the sweep's [`CycleStats`] in
+//! [`ExecStats::from_cycle_stats`].
 
-use crate::config::SystolicConfig;
-use crate::mapping::TileMapping;
-use crate::scheme::ComputingScheme;
-use crate::CoreError;
-use usystolic_gemm::{GemmConfig, Matrix};
-use usystolic_unary::add::BinaryAccumulator;
-use usystolic_unary::coding::Coding;
-use usystolic_unary::sign::SignMagnitude;
+use crate::array2d::CycleStats;
 
 /// Execution statistics of a functional GEMM run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -28,6 +23,19 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
+    /// The functional statistics of a tile sweep whose MAC windows last
+    /// `mac_cycles` cycles each: every window keeps one PE busy for
+    /// exactly `mac_cycles`, so the busy PE-cycles are the compute cycles
+    /// and divide into the window count.
+    #[must_use]
+    pub fn from_cycle_stats(stats: CycleStats, mac_cycles: u64) -> Self {
+        Self {
+            mac_windows: stats.busy_pe_cycles / mac_cycles.max(1),
+            saturation_events: stats.saturation_events,
+            compute_cycles: stats.busy_pe_cycles,
+        }
+    }
+
     /// Merges another run's statistics into this one (e.g. when summing
     /// over the layers of a network).
     pub fn absorb(&mut self, other: ExecStats) {
@@ -37,325 +45,6 @@ impl ExecStats {
     }
 }
 
-/// Records one tile's wall-clock span on the [`usystolic_obs::PID_WALL`]
-/// lane (no-op when no session is installed — in particular on worker
-/// threads of the parallel tile sweep, which carry no session).
-pub(crate) fn record_tile(
-    kernel: &'static str,
-    cf: usize,
-    rf: usize,
-    rows: usize,
-    cols: usize,
-    t0: f64,
-) {
-    usystolic_obs::with(|o| {
-        use usystolic_obs::ToJson;
-        let t1 = o.tracer.now_us();
-        o.metrics.observe("core.tile_us", t1 - t0);
-        o.metrics
-            .observe_labeled("core.tile_us", &[("kernel", kernel)], t1 - t0);
-        o.metrics
-            .count_labeled("core.tiles", &[("kernel", kernel)], 1);
-        // `correlated_args` stamps the active request/shard ids (set by
-        // the serve engine) onto the tile span, closing the admission →
-        // batch → layer → tile chain in the trace.
-        let args = o.correlated_args(vec![
-            ("col_fold".to_owned(), (cf as u64).to_json()),
-            ("row_fold".to_owned(), (rf as u64).to_json()),
-            ("rows".to_owned(), (rows as u64).to_json()),
-            ("cols".to_owned(), (cols as u64).to_json()),
-        ]);
-        o.tracer.complete(
-            format!("{kernel} tile c{cf}r{rf}"),
-            "core",
-            usystolic_obs::PID_WALL,
-            1,
-            t0,
-            t1 - t0,
-            args,
-        );
-    });
-}
-
-/// Folds a finished kernel run's statistics into the session counters.
-fn record_kernel_stats(stats: &ExecStats) {
-    usystolic_obs::with(|o| {
-        o.metrics.count("core.mac_windows", stats.mac_windows);
-        o.metrics.count("core.compute_cycles", stats.compute_cycles);
-        o.metrics
-            .count("core.saturation_events", stats.saturation_events);
-    });
-}
-
-fn check_lowered(
-    gemm: &GemmConfig,
-    input: &Matrix<i64>,
-    weights: &Matrix<i64>,
-) -> Result<(), CoreError> {
-    let (k, n) = gemm.lowered_shape();
-    let m = gemm.output_pixels();
-    if input.rows() != m || input.cols() != k {
-        return Err(CoreError::Shape(format!(
-            "lowered input must be {m}x{k}, got {}x{}",
-            input.rows(),
-            input.cols()
-        )));
-    }
-    if weights.rows() != k || weights.cols() != n {
-        return Err(CoreError::Shape(format!(
-            "lowered weights must be {k}x{n}, got {}x{}",
-            weights.rows(),
-            weights.cols()
-        )));
-    }
-    Ok(())
-}
-
-/// Runs a lowered GEMM (`input: M × K`, `weights: K × N`, signed integer
-/// levels in `[-2^(N-1), 2^(N-1)]`) through the uSystolic array model.
-///
-/// Per weight tile and input vector, each occupied row executes one
-/// rate/temporal MAC window (bit-exact with
-/// [`crate::pe::UnaryRow::run_fast`], evaluated through the word-packed
-/// kernel of [`crate::kernel`]); the per-PE signed counts flow upward
-/// through reduced-resolution [`BinaryAccumulator`]s and the final
-/// partial sums are rescaled by the early-termination shift at the
-/// top-row shifters.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Shape`] for mismatched matrices and
-/// [`CoreError::Config`] if the configuration's scheme is not a uSystolic
-/// scheme.
-pub fn unary_gemm(
-    config: &SystolicConfig,
-    gemm: &GemmConfig,
-    input: &Matrix<i64>,
-    weights: &Matrix<i64>,
-) -> Result<(Matrix<i64>, ExecStats), CoreError> {
-    unary_gemm_workers(config, gemm, input, weights, 1)
-}
-
-/// [`unary_gemm`] with an explicit worker count for the weight-tile sweep.
-///
-/// Tiles are independent, so their per-window signed counts are computed
-/// in parallel on the shared work-stealing pool ([`usystolic_pool`]) with
-/// the word-packed kernel of [`crate::kernel`] (the counts equal
-/// [`crate::pe::UnaryRow::run_fast`]'s bit for bit). The counts are then
-/// folded into
-/// the shared reduced-resolution accumulators **sequentially, in the
-/// exact `(col_fold, row_fold, vector, row, column)` order of the serial
-/// sweep** — accumulator clamping is order-sensitive, and this keeps the
-/// output and the saturation statistics bit-for-bit identical for every
-/// worker count (`tests::worker_count_does_not_change_results`).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Shape`] for mismatched matrices,
-/// [`CoreError::Config`] if the configuration's scheme is not a uSystolic
-/// scheme or the worker pool fails.
-pub fn unary_gemm_workers(
-    config: &SystolicConfig,
-    gemm: &GemmConfig,
-    input: &Matrix<i64>,
-    weights: &Matrix<i64>,
-    workers: usize,
-) -> Result<(Matrix<i64>, ExecStats), CoreError> {
-    let coding = match config.scheme() {
-        ComputingScheme::UnaryRate => Coding::Rate,
-        ComputingScheme::UnaryTemporal => Coding::Temporal,
-        other => {
-            return Err(CoreError::Config(format!(
-                "unary_gemm does not execute {other}"
-            )))
-        }
-    };
-    check_lowered(gemm, input, weights)?;
-
-    let map = TileMapping::new(gemm, config.rows(), config.cols());
-    let (m, n) = (map.m(), map.n());
-    let bitwidth = config.bitwidth();
-    let mul_cycles = config.mul_cycles();
-    let et = config.early_termination();
-
-    // Serial sweep order: column folds outer, row folds inner.
-    let tiles: Vec<(usize, usize)> = (0..map.col_folds())
-        .flat_map(|cf| (0..map.row_folds()).map(move |rf| (cf, rf)))
-        .collect();
-
-    // Phase 1 (parallel): per tile, the signed count every (vector, row,
-    // column) MAC window contributes. Pure computation — no shared state,
-    // results land in task order whatever the interleaving.
-    let partials = usystolic_pool::run_indexed(workers, tiles.len(), |i| {
-        let (cf, rf) = tiles[i];
-        let n0 = cf * config.cols();
-        let k0 = rf * config.rows();
-        let tile_rows = map.rows_in_fold(rf);
-        let tile_cols = map.cols_in_fold(cf);
-        let mut tile_t0 = 0.0;
-        usystolic_obs::with(|o| tile_t0 = o.tracer.now_us());
-        // Pre-split the tile's weights into sign-magnitude rows once for
-        // all M windows: rate tiles pack their comparator streams,
-        // temporal tiles need no streams at all (closed-form windows).
-        let tile_weights: Vec<Vec<SignMagnitude>> = (0..tile_rows)
-            .map(|r| {
-                (0..tile_cols)
-                    .map(|c| SignMagnitude::from_signed(weights[(k0 + r, n0 + c)], bitwidth))
-                    .collect()
-            })
-            .collect();
-        let mut kernel =
-            crate::kernel::UnaryTileKernel::new(bitwidth, coding, mul_cycles, &tile_weights);
-        let mut counts = Vec::with_capacity(m * tile_rows * tile_cols);
-        for p in 0..m {
-            for r in 0..tile_rows {
-                let ifm = SignMagnitude::from_signed(input[(p, k0 + r)], bitwidth);
-                for c in 0..tile_cols {
-                    counts.push(kernel.window_count(r, c, ifm));
-                }
-            }
-        }
-        record_tile("unary_gemm", cf, rf, tile_rows, tile_cols, tile_t0);
-        counts
-    })
-    .map_err(|e| CoreError::Config(format!("tile sweep worker pool failed: {e}")))?;
-
-    // Phase 2 (sequential): replay each tile's M-end cascade in the
-    // serial sweep's order. Per (vector, column) the partial sum flows
-    // bottom-up through one reduced-resolution OREG per occupied row —
-    // fresh at each window, drained at its M-end (steps 3–4 of Fig. 7) —
-    // so at most `min(rows, K)` windows ever share a register, and the
-    // cross-fold partials meet in the full-precision output buffer.
-    // This is bit-exact with the stepped machine of [`crate::array2d`],
-    // clamping and saturation statistics included (a flat fold over the
-    // whole `K` reduction would clamp where the hardware cannot).
-    let mut out = Matrix::<i64>::zeros(m, n);
-    let mut stats = ExecStats::default();
-    for (counts, &(cf, rf)) in partials.iter().zip(&tiles) {
-        let n0 = cf * config.cols();
-        let tile_rows = map.rows_in_fold(rf);
-        let tile_cols = map.cols_in_fold(cf);
-        for p in 0..m {
-            for c in 0..tile_cols {
-                let mut partial = 0i64;
-                for r in (0..tile_rows).rev() {
-                    let mut oreg = BinaryAccumulator::new(config.acc_width());
-                    oreg.add(counts[(p * tile_rows + r) * tile_cols + c]);
-                    oreg.add(partial);
-                    if oreg.saturated() {
-                        stats.saturation_events += 1;
-                    }
-                    partial = oreg.drain();
-                }
-                out[(p, n0 + c)] += partial;
-            }
-            stats.mac_windows += (tile_rows * tile_cols) as u64;
-            stats.compute_cycles += tile_rows as u64 * config.mac_cycles();
-        }
-    }
-
-    // Top-row shifters: scale the n-bit partial sums back to N bits
-    // (the shift is linear, so once after the fold equals per-drain).
-    for v in out.as_mut_slice() {
-        *v = et.scale(*v);
-    }
-    usystolic_obs::with(|o| o.metrics.count("core.packed_windows", stats.mac_windows));
-    record_kernel_stats(&stats);
-    Ok((out, stats))
-}
-
-/// Runs a lowered GEMM through the uGEMM-H model: bipolar uMUL directly on
-/// signed data (no sign-magnitude split), rate coding, binary
-/// accumulation.
-///
-/// Costs `2^N` multiply cycles per MAC window and two conditional
-/// generators per row (Section IV-C2); the per-window contribution is the
-/// bipolar ±1 sum `S ≈ w·i / 2^(N-2)`, evaluated through the word-packed
-/// split of [`crate::kernel::PackedHybridTileKernel`] — the window's ±1
-/// walk lands in a plain integer here (the OREG only sees the finished
-/// window sum), so the packed evaluation is bit-exact at any accumulator
-/// width.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Shape`] for mismatched matrices and
-/// [`CoreError::Config`] if the configuration's scheme is not
-/// [`ComputingScheme::UGemmHybrid`].
-pub fn ugemm_h_gemm(
-    config: &SystolicConfig,
-    gemm: &GemmConfig,
-    input: &Matrix<i64>,
-    weights: &Matrix<i64>,
-) -> Result<(Matrix<i64>, ExecStats), CoreError> {
-    if config.scheme() != ComputingScheme::UGemmHybrid {
-        return Err(CoreError::Config(format!(
-            "ugemm_h_gemm does not execute {}",
-            config.scheme()
-        )));
-    }
-    check_lowered(gemm, input, weights)?;
-
-    let map = TileMapping::new(gemm, config.rows(), config.cols());
-    let (m, n) = (map.m(), map.n());
-    let bitwidth = config.bitwidth();
-    let half = 1i64 << (bitwidth - 1);
-
-    let mut accs: Vec<BinaryAccumulator> = (0..m * n)
-        .map(|_| BinaryAccumulator::new(config.acc_width()))
-        .collect();
-    let mut stats = ExecStats::default();
-
-    for cf in 0..map.col_folds() {
-        let n0 = cf * config.cols();
-        let tile_cols = map.cols_in_fold(cf);
-        for rf in 0..map.row_folds() {
-            let k0 = rf * config.rows();
-            let tile_rows = map.rows_in_fold(rf);
-            let mut tile_t0 = 0.0;
-            usystolic_obs::with(|o| tile_t0 = o.tracer.now_us());
-            // The tile's stationary weights as bipolar thresholds, packed
-            // once into ones-/zeros-phase comparator words for all M
-            // windows.
-            let w_thr: Vec<Vec<u64>> = (0..tile_rows)
-                .map(|r| {
-                    (0..tile_cols)
-                        .map(|c| {
-                            let w = weights[(k0 + r, n0 + c)].clamp(-half, half);
-                            (w + half) as u64
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut kernel = crate::kernel::PackedHybridTileKernel::new(bitwidth, &w_thr);
-            for p in 0..m {
-                for r in 0..tile_rows {
-                    let i_level = input[(p, k0 + r)].clamp(-half, half);
-                    let i_threshold = (i_level + half) as u64;
-                    for c in 0..tile_cols {
-                        accs[p * n + n0 + c].add(kernel.window_sum(r, c, i_threshold));
-                    }
-                    stats.mac_windows += tile_cols as u64;
-                    stats.compute_cycles += config.mac_cycles();
-                }
-            }
-            record_tile("ugemm_h", cf, rf, tile_rows, tile_cols, tile_t0);
-        }
-    }
-
-    let mut out = Matrix::<i64>::zeros(m, n);
-    for p in 0..m {
-        for c in 0..n {
-            let acc = &accs[p * n + c];
-            if acc.saturated() {
-                stats.saturation_events += 1;
-            }
-            out[(p, c)] = acc.value();
-        }
-    }
-    record_kernel_stats(&stats);
-    Ok((out, stats))
-}
-
 impl usystolic_obs::ToJson for ExecStats {
     fn to_json(&self) -> usystolic_obs::JsonValue {
         usystolic_obs::JsonValue::object(vec![
@@ -363,174 +52,5 @@ impl usystolic_obs::ToJson for ExecStats {
             ("saturation_events", self.saturation_events.to_json()),
             ("compute_cycles", self.compute_cycles.to_json()),
         ])
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use usystolic_gemm::im2col;
-    use usystolic_gemm::{FeatureMap, WeightSet};
-
-    fn lowered_case(seedi: i64, seedw: i64) -> (GemmConfig, Matrix<i64>, Matrix<i64>, Matrix<i64>) {
-        let gemm = GemmConfig::conv(4, 4, 2, 2, 2, 1, 3).unwrap();
-        let input = FeatureMap::from_fn(4, 4, 2, |h, w, c| {
-            ((h as i64 * 37 + w as i64 * 11 + c as i64 * 5 + seedi) % 257) - 128
-        });
-        let weights = WeightSet::from_fn(3, 2, 2, 2, |oc, wh, ww, ic| {
-            ((oc as i64 * 53 + wh as i64 * 17 + ww as i64 * 7 + ic as i64 * 3 + seedw) % 257) - 128
-        });
-        let li = im2col::lower_input(&gemm, &input).unwrap();
-        let lw = im2col::lower_weights(&gemm, &weights).unwrap();
-        // Exact integer product for reference.
-        let mut exact = Matrix::<i64>::zeros(li.rows(), lw.cols());
-        for p in 0..li.rows() {
-            for c in 0..lw.cols() {
-                let mut s = 0i64;
-                for k in 0..li.cols() {
-                    s += li[(p, k)] * lw[(k, c)];
-                }
-                exact[(p, c)] = s;
-            }
-        }
-        (gemm, li, lw, exact)
-    }
-
-    #[test]
-    fn unary_rate_tracks_exact_product() {
-        let (gemm, li, lw, exact) = lowered_case(1, 2);
-        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8).unwrap();
-        let (out, stats) = unary_gemm(&cfg, &gemm, &li, &lw).unwrap();
-        assert_eq!(stats.saturation_events, 0);
-        assert!(stats.mac_windows > 0);
-        // Output is in the 2^(N-1)-divided domain: out ≈ exact / 128.
-        for p in 0..out.rows() {
-            for c in 0..out.cols() {
-                let expect = exact[(p, c)] as f64 / 128.0;
-                let err = (out[(p, c)] as f64 - expect).abs();
-                // K = 8 terms, each within ±1 count.
-                assert!(err <= 8.0, "({p},{c}): {} vs {expect}", out[(p, c)]);
-            }
-        }
-    }
-
-    #[test]
-    fn unary_temporal_tracks_exact_product() {
-        let (gemm, li, lw, exact) = lowered_case(3, 4);
-        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryTemporal, 8).unwrap();
-        let (out, _) = unary_gemm(&cfg, &gemm, &li, &lw).unwrap();
-        for p in 0..out.rows() {
-            for c in 0..out.cols() {
-                let expect = exact[(p, c)] as f64 / 128.0;
-                assert!(
-                    (out[(p, c)] as f64 - expect).abs() <= 10.0,
-                    "({p},{c}): {} vs {expect}",
-                    out[(p, c)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn early_termination_preserves_scale() {
-        let (gemm, li, lw, exact) = lowered_case(5, 6);
-        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8)
-            .unwrap()
-            .with_effective_bitwidth(6)
-            .unwrap();
-        let (out, _) = unary_gemm(&cfg, &gemm, &li, &lw).unwrap();
-        for p in 0..out.rows() {
-            for c in 0..out.cols() {
-                let expect = exact[(p, c)] as f64 / 128.0;
-                // Coarser: counts quantised to 4-count steps by the shift,
-                // and per-term variance grows with the shorter window.
-                assert!(
-                    (out[(p, c)] as f64 - expect).abs() <= 48.0,
-                    "({p},{c}): {} vs {expect}",
-                    out[(p, c)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fold_boundaries_do_not_change_results() {
-        let (gemm, li, lw, _) = lowered_case(7, 8);
-        let big = SystolicConfig::new(8, 3, ComputingScheme::UnaryRate, 8).unwrap();
-        let small = SystolicConfig::new(3, 2, ComputingScheme::UnaryRate, 8).unwrap();
-        let (a, _) = unary_gemm(&big, &gemm, &li, &lw).unwrap();
-        let (b, _) = unary_gemm(&small, &gemm, &li, &lw).unwrap();
-        assert_eq!(a, b, "tiling must be value-preserving");
-    }
-
-    #[test]
-    fn worker_count_does_not_change_results() {
-        // The parallel tile sweep folds counts in the serial order, so the
-        // output and the (order-sensitive) saturation stats are identical
-        // for every worker count — including with a clamping accumulator.
-        let (gemm, li, lw, _) = lowered_case(15, 16);
-        for acc_width in [32u32, 4] {
-            for scheme in [ComputingScheme::UnaryRate, ComputingScheme::UnaryTemporal] {
-                let cfg = SystolicConfig::new(3, 2, scheme, 8)
-                    .unwrap()
-                    .with_acc_width(acc_width);
-                let (one, one_stats) = unary_gemm_workers(&cfg, &gemm, &li, &lw, 1).unwrap();
-                for workers in [2usize, 3, 8] {
-                    let (many, many_stats) =
-                        unary_gemm_workers(&cfg, &gemm, &li, &lw, workers).unwrap();
-                    assert_eq!(one, many, "{scheme} acc {acc_width} workers {workers}");
-                    assert_eq!(one_stats, many_stats, "{scheme} workers {workers}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn narrow_accumulator_saturates_and_reports() {
-        let (gemm, li, lw, _) = lowered_case(9, 10);
-        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8)
-            .unwrap()
-            .with_acc_width(4);
-        let (_, stats) = unary_gemm(&cfg, &gemm, &li, &lw).unwrap();
-        assert!(stats.saturation_events > 0);
-    }
-
-    #[test]
-    fn ugemm_h_tracks_exact_product() {
-        let (gemm, li, lw, exact) = lowered_case(11, 12);
-        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UGemmHybrid, 8).unwrap();
-        let (out, stats) = ugemm_h_gemm(&cfg, &gemm, &li, &lw).unwrap();
-        assert!(stats.mac_windows > 0);
-        for p in 0..out.rows() {
-            for c in 0..out.cols() {
-                // uGEMM-H output is in the 2^(N-2)-divided domain.
-                let expect = exact[(p, c)] as f64 / 64.0;
-                assert!(
-                    (out[(p, c)] as f64 - expect).abs() <= 24.0,
-                    "({p},{c}): {} vs {expect}",
-                    out[(p, c)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn scheme_mismatch_is_rejected() {
-        let (gemm, li, lw, _) = lowered_case(1, 1);
-        let bp = SystolicConfig::new(4, 3, ComputingScheme::BinaryParallel, 8).unwrap();
-        assert!(unary_gemm(&bp, &gemm, &li, &lw).is_err());
-        let ur = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8).unwrap();
-        assert!(ugemm_h_gemm(&ur, &gemm, &li, &lw).is_err());
-    }
-
-    #[test]
-    fn shape_mismatch_is_rejected() {
-        let (gemm, li, _, _) = lowered_case(1, 1);
-        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8).unwrap();
-        let bad_w = Matrix::<i64>::zeros(3, 3);
-        assert!(unary_gemm(&cfg, &gemm, &li, &bad_w).is_err());
-        let bad_i = Matrix::<i64>::zeros(2, 2);
-        let lw = Matrix::<i64>::zeros(8, 3);
-        assert!(unary_gemm(&cfg, &gemm, &bad_i, &lw).is_err());
     }
 }

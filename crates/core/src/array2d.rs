@@ -1,8 +1,8 @@
-//! A fully cycle-accurate `R × C` array machine.
+//! The array machine: the one weight-tile sweep every unary GEMM runs
+//! through.
 //!
-//! Where [`crate::array`] exploits the Eq. 3 equivalence to evaluate each
-//! row's MAC window in one shot, this module steps the whole array cycle
-//! by cycle exactly as Fig. 7 describes it:
+//! Under [`KernelMode::Serial`] each tile steps the whole `R × C` array
+//! cycle by cycle exactly as Fig. 7 describes it:
 //!
 //! * `R'` weight-preload cycles per tile;
 //! * input vectors injected bottom-row-first through the staircase skew
@@ -14,8 +14,12 @@
 //!   neighbour published on the previous cycle, and the top row streams
 //!   the finished OFM through the early-termination shifters.
 //!
-//! `tests::matches_fast_executor_*` prove bit-exact equivalence with the
-//! analytic executors for every computing scheme, and
+//! The fast paths exploit the Eq. 3 equivalence instead: each PE's MAC
+//! window is one call of a per-window kernel of [`crate::kernel`], and
+//! the M-end cascade is replayed per `(vector, column)`. This bit-serial
+//! machine is the oracle they are pinned against: `tests::*` prove every
+//! fast path bit-exact against [`KernelMode::Serial`] at workers 1/2/4/8,
+//! saturation statistics included, and
 //! `tests::cycle_count_matches_timing_model` cross-validates the measured
 //! cycle count against the `usystolic-sim` ideal-cycle formula.
 
@@ -102,11 +106,8 @@ impl RowGen {
 }
 
 /// Runs a lowered GEMM (`input: M × K`, `weights: K × N`) through the
-/// cycle-accurate machine.
-///
-/// Functionally identical to [`crate::exec::GemmExecutor::execute_lowered`]
-/// for every scheme (verified by test), but also yields the measured
-/// cycle counts.
+/// array machine on the fastest exact kernel ([`KernelMode::Auto`]),
+/// single-threaded.
 ///
 /// # Errors
 ///
@@ -120,15 +121,16 @@ pub fn cycle_accurate_gemm(
     cycle_accurate_gemm_with(config, gemm, input, weights, KernelMode::Auto, 1)
 }
 
-/// [`cycle_accurate_gemm`] with an explicit kernel mode and worker count.
+/// [`cycle_accurate_gemm`] with an explicit kernel mode and worker count:
+/// the weight-tile sweep behind [`crate::exec::GemmExecutor`].
 ///
-/// The weight-tile sweep is embarrassingly parallel (tiles share no
-/// machine state, only the output accumulation), so tiles are dispatched
-/// across `workers` threads of the shared work-stealing pool
-/// ([`usystolic_pool`]) and the per-tile partial results are folded
-/// sequentially in the canonical `(col_fold, row_fold)` order — the
-/// result is **bit-for-bit identical for every worker count and for every
-/// [`KernelMode`]** (`tests::packed_kernel_and_workers_are_bit_exact`).
+/// The sweep is embarrassingly parallel (tiles share no machine state,
+/// only the output accumulation), so tiles are dispatched across
+/// `workers` threads of the shared work-stealing pool
+/// ([`usystolic_pool`]) and each tile's `M × C'` partial output is
+/// folded sequentially in the canonical `(col_fold, row_fold)` order —
+/// the result is **bit-for-bit identical for every worker count and for
+/// every [`KernelMode`]** (`tests::packed_kernel_and_workers_are_bit_exact`).
 ///
 /// Under [`KernelMode::Auto`] / [`KernelMode::Packed`], each tile is
 /// evaluated by the fastest path [`KernelMode::resolve`] grants the
@@ -167,11 +169,7 @@ pub fn cycle_accurate_gemm_with(
     // Resolve the dispatch table once per GEMM (not per tile), so a
     // demoted request records exactly one fallback event.
     let path = mode.resolve(config);
-    let kernel_label = match path {
-        KernelPath::ClosedForm => "closed-form",
-        KernelPath::Packed => "packed",
-        KernelPath::Serial => "serial",
-    };
+    let kernel_label = path.label();
     let tiles: Vec<(usize, usize)> = (0..map.col_folds())
         .flat_map(|cf| (0..map.row_folds()).map(move |rf| (cf, rf)))
         .collect();
@@ -185,46 +183,32 @@ pub fn cycle_accurate_gemm_with(
     // there and the sweep-level span below covers the parallel case.
     let partials = usystolic_pool::run_indexed(workers, tiles.len(), |i| {
         let (cf, rf) = tiles[i];
-        let mut tile_out = Matrix::<i64>::zeros(m, n);
-        let mut tile_stats = CycleStats::default();
         let mut t0 = 0.0;
         usystolic_obs::with(|o| t0 = o.tracer.now_us());
         let tile = TileMachine::new(config, input, weights, &map, rf, cf);
-        let (rows, cols) = (tile.rows, tile.cols);
+        let mut tile_out = Matrix::<i64>::zeros(m, tile.cols);
+        let mut tile_stats = CycleStats::default();
         match path {
             KernelPath::Serial => tile.run(&mut tile_out, &mut tile_stats),
-            KernelPath::ClosedForm => tile.run_closed(&mut tile_out, &mut tile_stats),
-            KernelPath::Packed => {
-                if config.scheme() == ComputingScheme::UGemmHybrid {
-                    tile.run_packed_hybrid(&mut tile_out, &mut tile_stats);
-                } else {
-                    tile.run_packed(&mut tile_out, &mut tile_stats);
-                }
-            }
+            fast => tile.run_fast(fast, &mut tile_out, &mut tile_stats),
         }
-        crate::array::record_tile(
-            match path {
-                KernelPath::ClosedForm => "cycle_gemm.closed_form",
-                KernelPath::Packed => "cycle_gemm.packed",
-                KernelPath::Serial => "cycle_gemm.serial",
-            },
-            cf,
-            rf,
-            rows,
-            cols,
-            t0,
-        );
+        record_tile(kernel_label, cf, rf, tile.rows, tile.cols, t0);
         (tile_out, tile_stats)
     })
     .map_err(|e| CoreError::Config(format!("tile sweep worker pool failed: {e}")))?;
 
     // Deterministic sequential fold in tile order: parallelism changes
-    // wall-clock time, never one output bit.
+    // wall-clock time, never one output bit. Cross-fold partials meet in
+    // the full-precision output buffer, never in a reduced-resolution
+    // OREG.
     let mut out = Matrix::<i64>::zeros(m, n);
     let mut stats = CycleStats::default();
-    for (tile_out, tile_stats) in partials {
-        for (dst, src) in out.as_mut_slice().iter_mut().zip(tile_out.as_slice()) {
-            *dst += *src;
+    for ((tile_out, tile_stats), &(cf, _)) in partials.iter().zip(&tiles) {
+        let n0 = cf * config.cols();
+        for p in 0..m {
+            for c in 0..tile_out.cols() {
+                out[(p, n0 + c)] += tile_out[(p, c)];
+            }
         }
         stats.cycles += tile_stats.cycles;
         stats.busy_pe_cycles += tile_stats.busy_pe_cycles;
@@ -234,10 +218,10 @@ pub fn cycle_accurate_gemm_with(
 
     // Top-row shifters: rescale the early-terminated partial sums once,
     // after all folds have been accumulated (linear, so order-free).
-    let shift = config.early_termination().shift();
-    if shift > 0 && config.scheme() == ComputingScheme::UnaryRate {
+    let et = config.early_termination();
+    if et.terminates_early() {
         for v in out.as_mut_slice() {
-            *v <<= shift;
+            *v = et.scale(*v);
         }
     }
 
@@ -279,6 +263,40 @@ pub fn cycle_accurate_gemm_with(
         );
     });
     Ok((out, stats))
+}
+
+/// Records one tile's wall-clock span on the [`usystolic_obs::PID_WALL`]
+/// lane, labelled with its kernel path (no-op when no session is
+/// installed — in particular on worker threads of the parallel sweep,
+/// which carry no session).
+fn record_tile(kernel: &'static str, cf: usize, rf: usize, rows: usize, cols: usize, t0: f64) {
+    usystolic_obs::with(|o| {
+        use usystolic_obs::ToJson;
+        let t1 = o.tracer.now_us();
+        o.metrics.observe("core.tile_us", t1 - t0);
+        o.metrics
+            .observe_labeled("core.tile_us", &[("kernel", kernel)], t1 - t0);
+        o.metrics
+            .count_labeled("core.tiles", &[("kernel", kernel)], 1);
+        // `correlated_args` stamps the active request/shard ids (set by
+        // the serve engine) onto the tile span, closing the admission →
+        // batch → layer → tile chain in the trace.
+        let args = o.correlated_args(vec![
+            ("col_fold".to_owned(), (cf as u64).to_json()),
+            ("row_fold".to_owned(), (rf as u64).to_json()),
+            ("rows".to_owned(), (rows as u64).to_json()),
+            ("cols".to_owned(), (cols as u64).to_json()),
+        ]);
+        o.tracer.complete(
+            format!("{kernel} tile c{cf}r{rf}"),
+            "core",
+            usystolic_obs::PID_WALL,
+            1,
+            t0,
+            t1 - t0,
+            args,
+        );
+    });
 }
 
 /// One weight tile stepping cycle by cycle.
@@ -364,45 +382,23 @@ impl<'a> TileMachine<'a> {
                 in_src.reset();
                 rng_ones.reset();
                 rng_zeros.reset();
-                let half = 1i64 << (bitwidth - 1);
-                *in_threshold = (level.clamp(-half, half) + half) as u64;
+                *in_threshold = bipolar_threshold(level, bitwidth);
             }
             RowGen::Binary => {}
         }
     }
 
-    fn run(self, out: &mut Matrix<i64>, stats: &mut CycleStats) {
+    fn run(&self, out: &mut Matrix<i64>, stats: &mut CycleStats) {
         let scheme = self.config.scheme();
         let bitwidth = self.config.bitwidth();
         let mac = self.config.mac_cycles() as i64;
         let mul = self.config.mul_cycles() as i64;
-        let half = 1i64 << (bitwidth - 1);
         let preload = self.rows as i64;
         let (rows, cols, m) = (self.rows, self.cols, self.m as i64);
 
         // Stationary weights of this tile, in the scheme's operand form.
-        let w_sm: Vec<Vec<SignMagnitude>> = (0..rows)
-            .map(|r| {
-                (0..cols)
-                    .map(|c| {
-                        SignMagnitude::from_signed(
-                            self.weights[(self.k0 + r, self.n0 + c)],
-                            bitwidth,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let w_bipolar_thr: Vec<Vec<u64>> = (0..rows)
-            .map(|r| {
-                (0..cols)
-                    .map(|c| {
-                        let w = self.weights[(self.k0 + r, self.n0 + c)].clamp(-half, half);
-                        (w + half) as u64
-                    })
-                    .collect()
-            })
-            .collect();
+        let w_sm = self.tile_weights(|w| SignMagnitude::from_signed(w, bitwidth));
+        let w_bipolar_thr = self.tile_weights(|w| bipolar_threshold(w, bitwidth));
 
         // Bottom row starts first so partial sums cascade upward.
         let start = |r: usize, c: usize| preload + (rows as i64 - 1 - r as i64) + c as i64;
@@ -499,7 +495,7 @@ impl<'a> TileMachine<'a> {
                         }
                         let total = accs[idx].drain();
                         if r == 0 {
-                            out[(p, self.n0 + c)] += total;
+                            out[(p, c)] += total;
                         } else {
                             psum_next[idx] = total;
                         }
@@ -513,122 +509,83 @@ impl<'a> TileMachine<'a> {
         stats.tiles += 1;
     }
 
-    /// Word-packed evaluation of the same tile: every PE's AND-gate and
-    /// signed accumulation collapse to popcounts over packed comparator
-    /// words ([`crate::kernel::PackedTileKernel`]); the M-end cascade is
-    /// replayed per `(vector, column)` bottom-up, exactly as the scalar
-    /// machine's timing makes it happen (row `r+1`'s M-end lands one cycle
-    /// before row `r`'s, so its drained partial sum is what row `r` folds
-    /// in).
+    /// The fast evaluation of the same tile on `path` (closed-form or
+    /// word-packed): each PE's MAC window collapses to one call of the
+    /// path's per-window kernel ([`crate::kernel`]), and
+    /// [`cascade_replay`](Self::cascade_replay) folds the windows through
+    /// the M-end cascade.
     ///
-    /// Bit-exact against [`run`](Self::run) for the uSystolic schemes:
-    /// within one MAC window every increment of a PE carries the same
-    /// sign, the accumulator clamps monotonically, and `drain()` clears
-    /// both the value and the sticky saturation flag at every M-end — so
-    /// the lump add per window reproduces the per-cycle adds, clamping
-    /// and saturation count included. Cycle statistics are emitted from
-    /// the closed-form schedule (`t_end`, `R'·C'·M·mac`), which
-    /// `tests::packed_stats_match_serial_stats` pins against the stepped
-    /// machine.
-    ///
-    /// Only meaningful for [`ComputingScheme::UnaryRate`] /
-    /// [`ComputingScheme::UnaryTemporal`]; callers gate on
-    /// [`KernelMode::resolve`].
-    fn run_packed(self, out: &mut Matrix<i64>, stats: &mut CycleStats) {
+    /// Bit-exact against [`run`](Self::run) wherever
+    /// [`KernelMode::resolve`] grants the path: a sign-magnitude window's
+    /// increments all carry the sign `ISIGN ⊕ WSIGN` and the accumulator
+    /// clamps monotonically, and a uGEMM-H OREG of at least
+    /// `bitwidth + 2` bits cannot clamp mid-window — so one lump add per
+    /// window reproduces the per-cycle adds, clamping and saturation
+    /// count included.
+    fn run_fast(&self, path: KernelPath, out: &mut Matrix<i64>, stats: &mut CycleStats) {
         let bitwidth = self.config.bitwidth();
-        let coding = if self.config.scheme() == ComputingScheme::UnaryTemporal {
-            Coding::Temporal
-        } else {
-            Coding::Rate
-        };
-        let w_sm = self.tile_w_sm();
-        let mut kernel = PackedTileKernel::new(bitwidth, coding, self.config.mul_cycles(), &w_sm);
-        self.cascade_replay(
-            |p, r, c| {
-                let ifm = SignMagnitude::from_signed(self.input[(p, self.k0 + r)], bitwidth);
-                kernel.window_count(r, c, ifm)
-            },
-            out,
-            stats,
-        );
+        let mul_cycles = self.config.mul_cycles();
+        let sm = move |v: i64| SignMagnitude::from_signed(v, bitwidth);
+        let level = |p: usize, r: usize| self.input[(p, self.k0 + r)];
+        match (path, self.config.scheme()) {
+            (KernelPath::ClosedForm, _) => {
+                let kernel =
+                    ClosedFormTileKernel::new(bitwidth, mul_cycles, &self.tile_weights(sm));
+                self.cascade_replay(
+                    |p, r, c| kernel.window_count(r, c, sm(level(p, r))),
+                    out,
+                    stats,
+                );
+            }
+            (_, ComputingScheme::UGemmHybrid) => {
+                let thr = move |v: i64| bipolar_threshold(v, bitwidth);
+                let mut kernel = PackedHybridTileKernel::new(bitwidth, &self.tile_weights(thr));
+                self.cascade_replay(
+                    |p, r, c| kernel.window_sum(r, c, thr(level(p, r))),
+                    out,
+                    stats,
+                );
+            }
+            (_, scheme) => {
+                let coding = if scheme == ComputingScheme::UnaryTemporal {
+                    Coding::Temporal
+                } else {
+                    Coding::Rate
+                };
+                let mut kernel =
+                    PackedTileKernel::new(bitwidth, coding, mul_cycles, &self.tile_weights(sm));
+                self.cascade_replay(
+                    |p, r, c| kernel.window_count(r, c, sm(level(p, r))),
+                    out,
+                    stats,
+                );
+            }
+        }
     }
 
-    /// Closed-form evaluation of a temporal tile: same M-end cascade as
-    /// [`run_packed`](Self::run_packed), but every window count is
-    /// `O(bitwidth)` arithmetic ([`crate::kernel::ClosedFormTileKernel`])
-    /// — no drained sequences, no comparator words, no per-cycle work of
-    /// any kind.
-    fn run_closed(self, out: &mut Matrix<i64>, stats: &mut CycleStats) {
-        let bitwidth = self.config.bitwidth();
-        let w_sm = self.tile_w_sm();
-        let kernel = ClosedFormTileKernel::new(bitwidth, self.config.mul_cycles(), &w_sm);
-        self.cascade_replay(
-            |p, r, c| {
-                let ifm = SignMagnitude::from_signed(self.input[(p, self.k0 + r)], bitwidth);
-                kernel.window_count(r, c, ifm)
-            },
-            out,
-            stats,
-        );
-    }
-
-    /// Word-packed evaluation of a uGEMM-H tile: each bipolar window's
-    /// ±1 walk splits into the constant-sign ones-/zeros-phase popcounts
-    /// of [`crate::kernel::PackedHybridTileKernel`] and lumps into one
-    /// accumulator add per window. [`KernelMode::resolve`] guarantees the
-    /// OREG cannot clamp mid-window here (`acc_width ≥ bitwidth + 2`), so
-    /// the lump add — and the saturation count of the M-end cascade — is
-    /// bit-exact against [`run`](Self::run).
-    fn run_packed_hybrid(self, out: &mut Matrix<i64>, stats: &mut CycleStats) {
-        let bitwidth = self.config.bitwidth();
-        let half = 1i64 << (bitwidth - 1);
-        let w_thr: Vec<Vec<u64>> = (0..self.rows)
-            .map(|r| {
-                (0..self.cols)
-                    .map(|c| {
-                        let w = self.weights[(self.k0 + r, self.n0 + c)].clamp(-half, half);
-                        (w + half) as u64
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut kernel = PackedHybridTileKernel::new(bitwidth, &w_thr);
-        self.cascade_replay(
-            |p, r, c| {
-                let level = self.input[(p, self.k0 + r)].clamp(-half, half);
-                kernel.window_sum(r, c, (level + half) as u64)
-            },
-            out,
-            stats,
-        );
-    }
-
-    /// This tile's stationary weights in sign-magnitude form.
-    fn tile_w_sm(&self) -> Vec<Vec<SignMagnitude>> {
-        let bitwidth = self.config.bitwidth();
+    /// This tile's stationary weights, each converted by `operand` into
+    /// the scheme's operand form.
+    fn tile_weights<T>(&self, operand: impl Fn(i64) -> T) -> Vec<Vec<T>> {
         (0..self.rows)
             .map(|r| {
                 (0..self.cols)
-                    .map(|c| {
-                        SignMagnitude::from_signed(
-                            self.weights[(self.k0 + r, self.n0 + c)],
-                            bitwidth,
-                        )
-                    })
+                    .map(|c| operand(self.weights[(self.k0 + r, self.n0 + c)]))
                     .collect()
             })
             .collect()
     }
 
-    /// Shared backbone of the fast tile paths: the M-end cascade replayed
-    /// per `(vector, column)` bottom-up (row `r+1`'s M-end lands one
-    /// cycle before row `r`'s, so its drained partial sum is what row `r`
-    /// folds in), plus the closed-form schedule statistics. One
-    /// accumulator is reused across windows: `drain()` clears the value
-    /// and the sticky saturation flag, exactly like the per-PE OREGs.
-    fn cascade_replay<F: FnMut(usize, usize, usize) -> i64>(
+    /// The M-end cascade of the fast paths, replayed per
+    /// `(vector, column)` bottom-up (row `r+1`'s M-end lands one cycle
+    /// before row `r`'s, so its drained partial sum is what row `r`
+    /// folds in), plus the closed-form schedule statistics, which
+    /// `tests::packed_stats_match_serial_stats` pins against the stepped
+    /// machine. One accumulator is reused across windows: `drain()`
+    /// clears the value and the sticky saturation flag, exactly like the
+    /// per-PE OREGs.
+    fn cascade_replay(
         &self,
-        mut window: F,
+        mut window: impl FnMut(usize, usize, usize) -> i64,
         out: &mut Matrix<i64>,
         stats: &mut CycleStats,
     ) {
@@ -648,7 +605,7 @@ impl<'a> TileMachine<'a> {
                     }
                     below = acc.drain();
                 }
-                out[(p, self.n0 + c)] += below;
+                out[(p, c)] += below;
             }
         }
 
@@ -657,6 +614,13 @@ impl<'a> TileMachine<'a> {
         stats.busy_pe_cycles += (rows * cols * m) as u64 * self.config.mac_cycles();
         stats.tiles += 1;
     }
+}
+
+/// uGEMM-H's bipolar comparator threshold for a signed level:
+/// `clamp(v) + 2^(bitwidth−1)`.
+fn bipolar_threshold(v: i64, bitwidth: u32) -> u64 {
+    let half = 1i64 << (bitwidth - 1);
+    (v.clamp(-half, half) + half) as u64
 }
 
 #[cfg(test)]
@@ -679,6 +643,8 @@ mod tests {
         (gemm, li, lw)
     }
 
+    /// The executor (fast kernels, one worker) against the bit-serial
+    /// machine: the oracle, never the executor's own sweep mode.
     fn assert_matches_fast(scheme: ComputingScheme, rows: usize, cols: usize, seed: i64) {
         let (gemm, li, lw) = lowered_case(seed);
         let cfg = SystolicConfig::new(rows, cols, scheme, 8)
@@ -687,8 +653,8 @@ mod tests {
         let (fast, _) = GemmExecutor::new(cfg)
             .execute_lowered(&gemm, &li, &lw)
             .expect("fast path executes");
-        let (cycle, stats) =
-            cycle_accurate_gemm(&cfg, &gemm, &li, &lw).expect("cycle path executes");
+        let (cycle, stats) = cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Serial, 1)
+            .expect("cycle path executes");
         assert_eq!(fast, cycle, "{scheme} {rows}x{cols}");
         assert!(stats.cycles > 0);
         assert_eq!(stats.saturation_events, 0);
@@ -703,23 +669,43 @@ mod tests {
 
     #[test]
     fn matches_fast_executor_under_narrow_accumulator_folding() {
-        // K > rows with a deliberately narrow OREG: each fold's partials
+        // K > rows with deliberately narrow OREGs: each fold's partials
         // clamp in the per-row registers, but the cross-fold partials
-        // must meet unclamped in the output buffer on both paths (a flat
-        // fold over the whole K reduction would clamp where the M-end
-        // cascade of the stepped machine cannot).
-        let (gemm, li, lw) = lowered_case(12);
-        let cfg = SystolicConfig::new(3, 2, ComputingScheme::UnaryRate, 8)
-            .expect("valid")
-            .with_acc_width(4);
-        let (fast, fast_stats) = GemmExecutor::new(cfg)
-            .execute_lowered(&gemm, &li, &lw)
-            .expect("fast path executes");
-        let (cycle, cycle_stats) =
-            cycle_accurate_gemm(&cfg, &gemm, &li, &lw).expect("cycle path executes");
-        assert!(cycle_stats.saturation_events > 0, "case must saturate");
-        assert_eq!(fast, cycle);
-        assert_eq!(fast_stats.saturation_events, cycle_stats.saturation_events);
+        // must meet unclamped in the output buffer (a flat fold over the
+        // whole K reduction would clamp where the M-end cascade of the
+        // stepped machine cannot). Sign-magnitude schemes clamp at 4
+        // bits; uGEMM-H at 10, the narrowest OREG that still packs.
+        for (scheme, acc_width, seed) in [
+            (ComputingScheme::UnaryRate, 4, 12),
+            (ComputingScheme::UnaryTemporal, 4, 12),
+            (ComputingScheme::UGemmHybrid, 10, 25),
+        ] {
+            let (gemm, li, lw) = lowered_case(seed);
+            let mut saturated = false;
+            for (rows, cols) in [(3, 2), (4, 3)] {
+                let cfg = SystolicConfig::new(rows, cols, scheme, 8)
+                    .expect("valid")
+                    .with_acc_width(acc_width);
+                assert_ne!(KernelMode::Auto.resolve(&cfg), KernelPath::Serial);
+                let (cycle, cycle_stats) =
+                    cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Serial, 1)
+                        .expect("cycle path executes");
+                saturated |= cycle_stats.saturation_events > 0;
+                for workers in [1usize, 2, 4, 8] {
+                    let (fast, fast_stats) = GemmExecutor::new(cfg)
+                        .with_workers(workers)
+                        .execute_lowered(&gemm, &li, &lw)
+                        .expect("fast path executes");
+                    let case = format!("{scheme} {rows}x{cols} workers {workers}");
+                    assert_eq!(fast, cycle, "{case}");
+                    assert_eq!(
+                        fast_stats.saturation_events, cycle_stats.saturation_events,
+                        "{case}"
+                    );
+                }
+            }
+            assert!(saturated, "{scheme}: case must saturate");
+        }
     }
 
     #[test]
@@ -733,7 +719,8 @@ mod tests {
         let (fast, _) = GemmExecutor::new(cfg)
             .execute_lowered(&gemm, &li, &lw)
             .expect("fast path executes");
-        let (cycle, _) = cycle_accurate_gemm(&cfg, &gemm, &li, &lw).expect("cycle path executes");
+        let (cycle, _) = cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Serial, 1)
+            .expect("cycle path executes");
         assert_eq!(fast, cycle);
     }
 

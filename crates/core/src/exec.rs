@@ -1,14 +1,19 @@
 //! Unified high-level GEMM execution across computing schemes.
 //!
 //! [`GemmExecutor`] is the crate's main entry point: it quantises `f64`
-//! tensors to the array's data bitwidth, lowers them (im2col), dispatches
-//! to the scheme's functional model, and dequantises the result — giving
-//! each scheme the treatment the paper gives it in the accuracy study
-//! (Section V-A).
+//! tensors to the array's data bitwidth, lowers them (im2col), runs the
+//! scheme's functional model, and dequantises the result — giving each
+//! scheme the treatment the paper gives it in the accuracy study
+//! (Section V-A). Every unary scheme runs through the one tile sweep of
+//! [`crate::array2d`] on its fastest exact kernel ([`KernelMode::Auto`]);
+//! the binary baselines compute the exact product
+//! ([`crate::baselines::binary_gemm`]).
 
-use crate::array::{ugemm_h_gemm, unary_gemm_workers, ExecStats};
+use crate::array::ExecStats;
+use crate::array2d::cycle_accurate_gemm_with;
 use crate::baselines::binary_gemm;
 use crate::config::SystolicConfig;
+use crate::kernel::KernelMode;
 use crate::scheme::ComputingScheme;
 use crate::CoreError;
 use usystolic_gemm::im2col;
@@ -58,7 +63,7 @@ impl GemmExecutor {
         Self { config, workers: 1 }
     }
 
-    /// Spreads the independent weight-tile sweep of the unary executors
+    /// Spreads the independent weight-tile sweep of the unary schemes
     /// across `workers` threads of the shared work-stealing pool. Results
     /// are bit-for-bit identical for every worker count — the per-tile
     /// partials are folded sequentially in the serial sweep's order.
@@ -180,23 +185,32 @@ impl GemmExecutor {
     ///
     /// # Errors
     ///
-    /// Propagates shape and configuration errors from the scheme
-    /// executors.
+    /// Propagates shape and worker-pool errors from the tile sweep.
     pub fn execute_lowered(
         &self,
         gemm: &GemmConfig,
         input: &Matrix<i64>,
         weights: &Matrix<i64>,
     ) -> Result<(Matrix<i64>, ExecStats), CoreError> {
-        match self.config.scheme() {
-            ComputingScheme::BinaryParallel | ComputingScheme::BinarySerial => {
-                binary_gemm(&self.config, gemm, input, weights)
-            }
-            ComputingScheme::UnaryRate | ComputingScheme::UnaryTemporal => {
-                unary_gemm_workers(&self.config, gemm, input, weights, self.workers)
-            }
-            ComputingScheme::UGemmHybrid => ugemm_h_gemm(&self.config, gemm, input, weights),
+        if !self.config.scheme().is_unary() {
+            return binary_gemm(&self.config, gemm, input, weights);
         }
+        let (out, cycle) = cycle_accurate_gemm_with(
+            &self.config,
+            gemm,
+            input,
+            weights,
+            KernelMode::Auto,
+            self.workers,
+        )?;
+        let stats = ExecStats::from_cycle_stats(cycle, self.config.mac_cycles());
+        usystolic_obs::with(|o| {
+            o.metrics.count("core.mac_windows", stats.mac_windows);
+            o.metrics.count("core.compute_cycles", stats.compute_cycles);
+            o.metrics
+                .count("core.saturation_events", stats.saturation_events);
+        });
+        Ok((out, stats))
     }
 }
 
@@ -217,16 +231,38 @@ mod tests {
         (gemm, input, weights)
     }
 
+    fn outcome_for(scheme: ComputingScheme) -> GemmOutcome {
+        let (gemm, input, weights) = case();
+        let cfg = SystolicConfig::new(4, 3, scheme, 8).unwrap();
+        GemmExecutor::new(cfg)
+            .execute(&gemm, &input, &weights)
+            .unwrap()
+    }
+
     fn rmse_for(scheme: ComputingScheme) -> f64 {
         let (gemm, input, weights) = case();
         let reference = gemm_reference(&gemm, &input, &weights).unwrap();
-        let cfg = SystolicConfig::new(4, 3, scheme, 8).unwrap();
-        let out = GemmExecutor::new(cfg)
-            .execute(&gemm, &input, &weights)
-            .unwrap();
-        ErrorStats::compare(reference.as_slice(), out.output.as_slice())
+        ErrorStats::compare(reference.as_slice(), outcome_for(scheme).output.as_slice())
             .unwrap()
             .rmse()
+    }
+
+    /// A lowered integer GEMM (`M = 9`, `K = 8`, `N = 3`) and its exact
+    /// product.
+    fn lowered_case(seedi: i64, seedw: i64) -> (GemmConfig, Matrix<i64>, Matrix<i64>, Matrix<i64>) {
+        let gemm = GemmConfig::conv(4, 4, 2, 2, 2, 1, 3).unwrap();
+        let input = FeatureMap::from_fn(4, 4, 2, |h, w, c| {
+            ((h as i64 * 37 + w as i64 * 11 + c as i64 * 5 + seedi) % 257) - 128
+        });
+        let weights = WeightSet::from_fn(3, 2, 2, 2, |oc, wh, ww, ic| {
+            ((oc as i64 * 53 + wh as i64 * 17 + ww as i64 * 7 + ic as i64 * 3 + seedw) % 257) - 128
+        });
+        let li = im2col::lower_input(&gemm, &input).unwrap();
+        let lw = im2col::lower_weights(&gemm, &weights).unwrap();
+        let exact = Matrix::from_fn(li.rows(), lw.cols(), |p, c| {
+            (0..li.cols()).map(|k| li[(p, k)] * lw[(k, c)]).sum()
+        });
+        (gemm, li, lw, exact)
     }
 
     #[test]
@@ -238,10 +274,99 @@ mod tests {
             .iter()
             .fold(0.0f64, |m, &x| m.max(x.abs()));
         for scheme in ComputingScheme::ALL {
-            let rmse = rmse_for(scheme);
+            let outcome = outcome_for(scheme);
+            let rmse = ErrorStats::compare(reference.as_slice(), outcome.output.as_slice())
+                .unwrap()
+                .rmse();
             assert!(
                 rmse < ref_scale * 0.12,
                 "{scheme}: rmse {rmse} too large vs scale {ref_scale}"
+            );
+            // Every MAC window keeps one PE busy for a full MAC interval.
+            let stats = outcome.stats;
+            let mac_cycles = SystolicConfig::new(4, 3, scheme, 8).unwrap().mac_cycles();
+            assert_eq!(stats.mac_windows, gemm.macs(), "{scheme}");
+            assert_eq!(
+                stats.compute_cycles,
+                stats.mac_windows * mac_cycles,
+                "{scheme}"
+            );
+        }
+    }
+
+    #[test]
+    fn lowered_unary_schemes_track_the_exact_product() {
+        // Rate/temporal outputs are in the 2^(N-1)-divided domain,
+        // uGEMM-H's in the 2^(N-2)-divided one. K = 8 terms, each within
+        // a few counts; early termination quantises the counts to 4-count
+        // steps and shortens the window, so it gets a coarser bound.
+        for (scheme, ebt, seeds, tolerance) in [
+            (ComputingScheme::UnaryRate, 8, (1, 2), 8.0),
+            (ComputingScheme::UnaryTemporal, 8, (3, 4), 10.0),
+            (ComputingScheme::UnaryRate, 6, (5, 6), 48.0),
+            (ComputingScheme::UGemmHybrid, 8, (11, 12), 24.0),
+        ] {
+            let (gemm, li, lw, exact) = lowered_case(seeds.0, seeds.1);
+            let cfg = SystolicConfig::new(4, 3, scheme, 8)
+                .unwrap()
+                .with_effective_bitwidth(ebt)
+                .unwrap();
+            let (out, stats) = GemmExecutor::new(cfg)
+                .execute_lowered(&gemm, &li, &lw)
+                .unwrap();
+            assert_eq!(stats.saturation_events, 0, "{scheme} EBT {ebt}");
+            assert_eq!(stats.mac_windows, gemm.macs(), "{scheme} EBT {ebt}");
+            let divisor = scheme.product_divisor(8);
+            for p in 0..out.rows() {
+                for c in 0..out.cols() {
+                    let expect = exact[(p, c)] as f64 / divisor;
+                    assert!(
+                        (out[(p, c)] as f64 - expect).abs() <= tolerance,
+                        "{scheme} EBT {ebt} ({p},{c}): {} vs {expect}",
+                        out[(p, c)]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_boundaries_do_not_change_results() {
+        // Window counts depend only on the operand pair, so with OREGs
+        // wide enough not to clamp, the tiling cannot move an output.
+        let (gemm, li, lw, _) = lowered_case(7, 8);
+        for scheme in [
+            ComputingScheme::UnaryRate,
+            ComputingScheme::UnaryTemporal,
+            ComputingScheme::UGemmHybrid,
+        ] {
+            let run = |rows, cols| {
+                let cfg = SystolicConfig::new(rows, cols, scheme, 8).unwrap();
+                GemmExecutor::new(cfg)
+                    .execute_lowered(&gemm, &li, &lw)
+                    .unwrap()
+            };
+            let (big, big_stats) = run(8, 3);
+            let (small, small_stats) = run(3, 2);
+            assert_eq!(big, small, "{scheme}: tiling must be value-preserving");
+            assert_eq!(big_stats, small_stats, "{scheme}");
+        }
+    }
+
+    #[test]
+    fn execute_lowered_rejects_bad_shapes() {
+        let (gemm, li, lw, _) = lowered_case(1, 1);
+        let bad_w = Matrix::<i64>::zeros(3, 3);
+        let bad_i = Matrix::<i64>::zeros(2, 2);
+        for scheme in ComputingScheme::ALL {
+            let exec = GemmExecutor::new(SystolicConfig::new(4, 3, scheme, 8).unwrap());
+            assert!(
+                exec.execute_lowered(&gemm, &li, &bad_w).is_err(),
+                "{scheme}"
+            );
+            assert!(
+                exec.execute_lowered(&gemm, &bad_i, &lw).is_err(),
+                "{scheme}"
             );
         }
     }
@@ -342,17 +467,25 @@ mod tests {
     #[test]
     fn executor_workers_do_not_change_results() {
         let (gemm, input, weights) = case();
-        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8).unwrap();
-        let one = GemmExecutor::new(cfg)
-            .execute(&gemm, &input, &weights)
-            .unwrap();
-        let four = GemmExecutor::new(cfg)
-            .with_workers(4)
-            .execute(&gemm, &input, &weights)
-            .unwrap();
-        assert_eq!(one.output, four.output);
-        assert_eq!(one.stats, four.stats);
-        assert_eq!(GemmExecutor::new(cfg).with_workers(0).workers(), 1);
+        for scheme in [
+            ComputingScheme::UnaryRate,
+            ComputingScheme::UnaryTemporal,
+            ComputingScheme::UGemmHybrid,
+        ] {
+            let cfg = SystolicConfig::new(4, 3, scheme, 8).unwrap();
+            let one = GemmExecutor::new(cfg)
+                .execute(&gemm, &input, &weights)
+                .unwrap();
+            for workers in [2usize, 4, 8] {
+                let many = GemmExecutor::new(cfg)
+                    .with_workers(workers)
+                    .execute(&gemm, &input, &weights)
+                    .unwrap();
+                assert_eq!(one.output, many.output, "{scheme} workers {workers}");
+                assert_eq!(one.stats, many.stats, "{scheme} workers {workers}");
+            }
+            assert_eq!(GemmExecutor::new(cfg).with_workers(0).workers(), 1);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Word-packed MAC-window kernel shared by the functional and
-//! cycle-accurate executors.
+//! Per-window MAC kernels of the tile sweep in [`crate::array2d`], and
+//! the dispatch table that picks one per configuration.
 //!
 //! A uSystolic MAC window is fully determined by three comparator
 //! sequences that restart from the same seed every window (Fig. 4/7): the
@@ -74,13 +74,20 @@ pub enum KernelPath {
     Serial,
 }
 
+impl KernelPath {
+    /// The path's name, as telemetry labels it.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            KernelPath::ClosedForm => "closed-form",
+            KernelPath::Packed => "packed",
+            KernelPath::Serial => "serial",
+        }
+    }
+}
+
 impl core::fmt::Display for KernelPath {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            KernelPath::ClosedForm => write!(f, "closed-form"),
-            KernelPath::Packed => write!(f, "packed"),
-            KernelPath::Serial => write!(f, "serial"),
-        }
+        f.write_str(self.label())
     }
 }
 
@@ -349,41 +356,6 @@ impl ClosedFormTileKernel {
         let w = self.w_sm[idx];
         let ones = packed::vdc_prefix_count(self.width, n_en, w.magnitude);
         ifm.product_increment(w) * ones as i64
-    }
-}
-
-/// The fastest exact window kernel for sign-magnitude (rate/temporal)
-/// tiles: temporal windows take the closed form, rate windows the packed
-/// comparator words. One dispatch per tile, not per window.
-pub(crate) enum UnaryTileKernel {
-    Closed(ClosedFormTileKernel),
-    Packed(PackedTileKernel),
-}
-
-impl UnaryTileKernel {
-    /// Prepares one tile's stationary weights under `coding` (see
-    /// [`ClosedFormTileKernel::new`] / [`PackedTileKernel::new`], whose
-    /// panics on ragged tiles this shares).
-    pub(crate) fn new(
-        bitwidth: u32,
-        coding: Coding,
-        mul_cycles: u64,
-        w_sm: &[Vec<SignMagnitude>],
-    ) -> Self {
-        match coding {
-            Coding::Temporal => Self::Closed(ClosedFormTileKernel::new(bitwidth, mul_cycles, w_sm)),
-            Coding::Rate => Self::Packed(PackedTileKernel::new(bitwidth, coding, mul_cycles, w_sm)),
-        }
-    }
-
-    /// The signed count PE `(r, c)` contributes for one MAC window on
-    /// `ifm` (both variants are pinned bit-exact against the bit-serial
-    /// machine).
-    pub(crate) fn window_count(&mut self, r: usize, c: usize, ifm: SignMagnitude) -> i64 {
-        match self {
-            Self::Closed(k) => k.window_count(r, c, ifm),
-            Self::Packed(k) => k.window_count(r, c, ifm),
-        }
     }
 }
 

@@ -9,14 +9,15 @@
 //! * [`pe`] — cycle-level PEs of Fig. 7: C-BSG at the leftmost column,
 //!   IDFF/RREG reuse pipelines, sign-steered binary accumulation.
 //! * [`mapping`] — weight-stationary tile mapping (folds, utilisation).
-//! * [`mod@array`] — array-level functional executors for the unary schemes,
-//!   with reduced-resolution OREGs and top-row shifters.
-//! * [`array2d`] — the fully cycle-accurate machine stepping every PE,
-//!   pipeline register and partial-sum cascade; bit-exact against the
-//!   fast executors.
-//! * [`kernel`] — the word-packed MAC-window kernel ([`KernelMode`]):
-//!   64 multiply cycles per `u64` word, shared by the functional and
-//!   cycle-accurate executors, bit-exact against the bit-serial paths.
+//! * [`array2d`] — the one weight-tile sweep: the cycle-accurate machine
+//!   stepping every PE, pipeline register and partial-sum cascade, and
+//!   the fast paths that replay the same M-end cascade over per-window
+//!   kernels, bit-exact against it.
+//! * [`kernel`] — the per-window MAC kernels and their dispatch table
+//!   ([`KernelMode`], [`KernelPath`]): closed-form temporal windows and
+//!   word-packed popcounts (64 multiply cycles per `u64` word).
+//! * [`mod@array`] — [`ExecStats`], the functional statistics the
+//!   executor derives from a sweep's [`CycleStats`].
 //! * [`fifo`] — the synchronising skew FIFOs surrounding the array.
 //! * [`fsu`] — the fully-streaming unary (uGEMM-style) reference
 //!   architecture used to quantify Table I.
@@ -43,7 +44,7 @@ pub mod mapping;
 pub mod pe;
 pub mod scheme;
 
-pub use array::{ugemm_h_gemm, unary_gemm, unary_gemm_workers, ExecStats};
+pub use array::ExecStats;
 pub use array2d::{cycle_accurate_gemm, cycle_accurate_gemm_with, CycleStats};
 pub use baselines::binary_gemm;
 pub use check::{differential_check, SchemeCheck};
@@ -61,8 +62,8 @@ pub use scheme::ComputingScheme;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CoreError {
-    /// A configuration/scheme mismatch (e.g. running a binary scheme
-    /// through the unary executor).
+    /// A configuration/scheme mismatch (e.g. running a unary scheme
+    /// through the binary executor) or a failed tile-sweep worker pool.
     Config(String),
     /// A tensor/matrix shape mismatch.
     Shape(String),

@@ -92,6 +92,16 @@ impl TimeSeries {
             self.late += count;
             return;
         }
+        // A window ending at `idx` that shares no bucket with the ring
+        // holds only empty buckets before `idx`: reset straight to it
+        // instead of walking the whole gap one bucket at a time.
+        let last = self.start + self.buckets.len() as u64 - 1;
+        let capacity = self.capacity as u64;
+        if idx >= last + capacity {
+            self.buckets.clear();
+            self.buckets.resize(self.capacity, SeriesBucket::default());
+            self.start = idx + 1 - capacity;
+        }
         // Grow the window forward to cover `idx`, evicting from the back
         // of history when it exceeds capacity.
         while idx >= self.start + self.buckets.len() as u64 {
@@ -246,6 +256,40 @@ mod tests {
         assert_eq!(s.len(), 5);
         let counts: Vec<u64> = s.iter().map(|(_, b)| b.count).collect();
         assert_eq!(counts, [1, 0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn long_gaps_reset_the_ring_like_the_bucket_walk() {
+        // The same samples around a jump of 12 buckets (a dozen steps of
+        // the one-bucket walk) and of 2^40 buckets: relative to the jump,
+        // both rings must evict, retain and count late samples alike.
+        for jump in [12u64, 1 << 40] {
+            let mut s = TimeSeries::new(4, 8);
+            for (bucket, value) in [(0, 1.0), (2, 2.0), (3, 3.0)] {
+                s.record(bucket * 4, value);
+            }
+            for (bucket, value) in [(3, 4.0), (1, 5.0), (0, 6.0), (4, 7.0)] {
+                s.record((jump + bucket) * 4 + 1, value);
+            }
+            s.record((jump - 4) * 4, 8.0);
+            assert_eq!(s.start_cycle(), (jump - 3) * 4, "jump {jump}");
+            assert_eq!(s.late_samples(), 1, "jump {jump}");
+            let buckets: Vec<(u64, f64)> = s.iter().map(|(_, b)| (b.count, b.sum)).collect();
+            assert_eq!(
+                buckets,
+                [
+                    (0, 0.0),
+                    (0, 0.0),
+                    (0, 0.0),
+                    (1, 6.0),
+                    (1, 5.0),
+                    (0, 0.0),
+                    (1, 4.0),
+                    (1, 7.0)
+                ],
+                "jump {jump}"
+            );
+        }
     }
 
     #[test]
