@@ -24,7 +24,8 @@
 //! The checks consume a [`ServiceEstimate`] — three numbers evaluated at
 //! the operating point — rather than the serving engine's profile type
 //! directly, so this crate stays independent of `usystolic_serve` (which
-//! depends on this crate for the pre-flight check in `serve_cli`).
+//! depends on this crate for the [`ServiceEstimate`] type; `serve_cli
+//! --check` runs the checks).
 //! `WorkloadProfile::service_estimate` in `usystolic_serve` produces the
 //! estimate from the real §V-H shared-DRAM model.
 //!

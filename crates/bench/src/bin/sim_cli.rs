@@ -39,9 +39,9 @@
 //! ```
 
 use usystolic_analyze::{analyze, analyze_network, NetworkAnalysis, RawSpec, Report, RngWiring};
-use usystolic_core::{
-    ComputingScheme, SystolicConfig, CLOUD_COLS, CLOUD_ROWS, EDGE_COLS, EDGE_ROWS,
-};
+use usystolic_bench::cli::{self, ArrayFlags, CliError, ObsFlags};
+use usystolic_bench::faults::nrmse;
+use usystolic_core::ComputingScheme;
 use usystolic_faults::{
     faulty_binary_gemm, faulty_unary_gemm, DeviceFaults, FaultKernel, FaultReport, GemmShape,
     StuckAt,
@@ -49,29 +49,18 @@ use usystolic_faults::{
 use usystolic_gemm::GemmConfig;
 use usystolic_hw::evaluate_layer_with;
 use usystolic_hw::summary::NetworkEvaluation;
-use usystolic_models::zoo;
 use usystolic_obs::{JsonValue, ToJson};
-use usystolic_sim::{Fidelity, MemoryHierarchy, MultiInstanceSystem, ScalingReport, Simulator};
+use usystolic_sim::{Fidelity, MultiInstanceSystem, ScalingReport, Simulator};
 use usystolic_unary::coding::Coding;
 use usystolic_unary::rng::SplitMix64;
 use usystolic_unary::stream_len;
 
 #[derive(Debug)]
 struct Args {
-    scheme: ComputingScheme,
-    cycles: Option<u64>,
-    bitwidth: u32,
-    cloud: bool,
-    no_sram: Option<bool>,
-    gemm: Option<GemmConfig>,
-    network: Option<String>,
+    array: ArrayFlags,
+    obs: ObsFlags,
     instances: Option<usize>,
     fidelity: Fidelity,
-    trace: Option<std::path::PathBuf>,
-    metrics: Option<std::path::PathBuf>,
-    metrics_format: MetricsFormat,
-    report_html: Option<std::path::PathBuf>,
-    json: bool,
     check: bool,
     acc_width: Option<u32>,
     acc_budget: Option<f64>,
@@ -82,23 +71,14 @@ struct Args {
     fault_seed: Option<u64>,
 }
 
-/// On-disk encoding for `--metrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetricsFormat {
-    Json,
-    Prom,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: usystolic_sim [--scheme BP|BS|UG|UR|UT] [--cycles N] [--bits N]
+const USAGE: &str = "usage: sim_cli [--scheme BP|BS|UG|UR|UT] [--cycles N] [--bits N]
                      [--shape edge|cloud] [--sram|--no-sram] [--instances N]
                      [--fidelity cycle|packed|analytic]
                      [--trace FILE] [--metrics FILE] [--metrics-format json|prom]
                      [--report FILE.html] [--json]
                      [--fault-ber F] [--fault-stuck R,C,V]... [--fault-seed N]
                      (--conv IH,IW,IC,WH,WW,S,OC | --matmul M,K,N | --network alexnet|resnet18|vgg16|mnist)
-       usystolic_sim --check [--scheme S] [--cycles N] [--bits N] [--shape edge|cloud]
+       sim_cli --check [--scheme S] [--cycles N] [--bits N] [--shape edge|cloud]
                      [--acc-width N] [--acc-budget FRACTION]
                      [--wiring shared|independent] [--fifo-depth N]
                      [--sram|--no-sram] [--json]
@@ -121,56 +101,14 @@ invariants (stable USYxxx diagnostic codes) and exits 1 on any error.
 With --network it also runs the whole-network abstract interpreter:
 calibrated value ranges prove per-layer overflow freedom or saturation
 (USY060/USY061), and the composed early-termination error bound is
-compared against --acc-budget (USY062/USY063)."
-    );
-    std::process::exit(2);
-}
+compared against --acc-budget (USY062/USY063).";
 
-/// Exits with a clear diagnostic (code 2) instead of a panic/backtrace.
-fn fail(message: impl std::fmt::Display) -> ! {
-    eprintln!("sim_cli: error: {message}");
-    std::process::exit(2);
-}
-
-/// Parses `--conv`/`--matmul` dimension lists, failing loudly on anything
-/// that is not exactly `expected` comma-separated non-negative integers.
-fn parse_dims(flag: &str, s: &str, expected: usize) -> Vec<usize> {
-    let dims: Vec<usize> = s
-        .split(',')
-        .map(|p| {
-            p.trim().parse().unwrap_or_else(|_| {
-                fail(format!(
-                    "{flag} {s}: '{}' is not a non-negative integer",
-                    p.trim()
-                ))
-            })
-        })
-        .collect();
-    if dims.len() != expected {
-        fail(format!(
-            "{flag} {s}: expected {expected} comma-separated dimensions, got {}",
-            dims.len()
-        ));
-    }
-    dims
-}
-
-fn parse_args() -> Args {
+fn parse(mut rest: impl Iterator<Item = String>) -> Result<Args, CliError> {
     let mut args = Args {
-        scheme: ComputingScheme::UnaryRate,
-        cycles: None,
-        bitwidth: 8,
-        cloud: false,
-        no_sram: None,
-        gemm: None,
-        network: None,
+        array: ArrayFlags::default(),
+        obs: ObsFlags::default(),
         instances: None,
         fidelity: Fidelity::CycleAccurate,
-        trace: None,
-        metrics: None,
-        metrics_format: MetricsFormat::Json,
-        report_html: None,
-        json: false,
         check: false,
         acc_width: None,
         acc_budget: None,
@@ -180,201 +118,99 @@ fn parse_args() -> Args {
         fault_stuck: Vec::new(),
         fault_seed: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .unwrap_or_else(|| fail(format!("{flag} requires a value")))
-        };
-        match flag.as_str() {
-            "--scheme" => {
-                let v = value();
-                args.scheme = match v.as_str() {
-                    "BP" => ComputingScheme::BinaryParallel,
-                    "BS" => ComputingScheme::BinarySerial,
-                    "UG" => ComputingScheme::UGemmHybrid,
-                    "UR" => ComputingScheme::UnaryRate,
-                    "UT" => ComputingScheme::UnaryTemporal,
-                    _ => fail(format!("--scheme {v}: expected BP, BS, UG, UR or UT")),
-                }
-            }
-            "--cycles" => {
-                let v = value();
-                args.cycles = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(format!("--cycles {v}: not an integer"))),
-                );
-            }
-            "--bits" => {
-                let v = value();
-                args.bitwidth = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(format!("--bits {v}: not an integer")));
-            }
-            "--shape" => {
-                let v = value();
-                args.cloud = match v.as_str() {
-                    "edge" => false,
-                    "cloud" => true,
-                    _ => fail(format!("--shape {v}: expected edge or cloud")),
-                }
-            }
-            "--sram" => args.no_sram = Some(false),
-            "--no-sram" => args.no_sram = Some(true),
-            "--conv" => {
-                let v = value();
-                let d = parse_dims("--conv", &v, 7);
-                args.gemm = Some(
-                    GemmConfig::conv(d[0], d[1], d[2], d[3], d[4], d[5], d[6])
-                        .unwrap_or_else(|e| fail(format!("--conv {v}: {e}"))),
-                );
-            }
-            "--matmul" => {
-                let v = value();
-                let d = parse_dims("--matmul", &v, 3);
-                args.gemm = Some(
-                    GemmConfig::matmul(d[0], d[1], d[2])
-                        .unwrap_or_else(|e| fail(format!("--matmul {v}: {e}"))),
-                );
-            }
-            "--network" => args.network = Some(value()),
-            "--instances" => {
-                let v = value();
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(format!("--instances {v}: not an integer")));
-                if n == 0 {
-                    fail("--instances 0: need at least one instance");
-                }
-                args.instances = Some(n);
-            }
-            "--fidelity" => {
-                let v = value();
-                args.fidelity = v
-                    .parse()
-                    .unwrap_or_else(|e| fail(format!("--fidelity {v}: {e}")));
-            }
-            "--trace" => args.trace = Some(value().into()),
-            "--metrics" => args.metrics = Some(value().into()),
-            "--metrics-format" => {
-                let v = value();
-                args.metrics_format = match v.as_str() {
-                    "json" => MetricsFormat::Json,
-                    "prom" => MetricsFormat::Prom,
-                    _ => fail(format!("--metrics-format {v}: expected json or prom")),
-                }
-            }
-            "--report" => args.report_html = Some(value().into()),
-            "--json" => args.json = true,
-            "--check" => args.check = true,
-            "--acc-width" => {
-                let v = value();
-                args.acc_width = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(format!("--acc-width {v}: not an integer"))),
-                );
-            }
-            "--acc-budget" => {
-                let v = value();
-                let b: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(format!("--acc-budget {v}: not a number")));
-                if !b.is_finite() || b <= 0.0 {
-                    fail(format!("--acc-budget {v}: must be a positive fraction"));
-                }
-                args.acc_budget = Some(b);
-            }
-            "--wiring" => {
-                let v = value();
-                args.wiring = match v.as_str() {
-                    "shared" | "shared-delayed" => RngWiring::SharedDelayed,
-                    "independent" => RngWiring::Independent,
-                    _ => fail(format!("--wiring {v}: expected shared or independent")),
-                };
-            }
-            "--fifo-depth" => {
-                let v = value();
-                args.fifo_depth = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(format!("--fifo-depth {v}: not an integer"))),
-                );
-            }
-            "--fault-ber" => {
-                let v = value();
-                let ber: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(format!("--fault-ber {v}: not a number")));
-                if !ber.is_finite() || !(0.0..=1.0).contains(&ber) {
-                    fail(format!("--fault-ber {v}: must be a probability in [0, 1]"));
-                }
-                args.fault_ber = Some(ber);
-            }
-            "--fault-stuck" => {
-                let v = value();
-                let parts: Vec<&str> = v.split(',').map(str::trim).collect();
-                if parts.len() != 3 {
-                    fail(format!("--fault-stuck {v}: expected R,C,V (three fields)"));
-                }
-                let row: usize = parts[0]
-                    .parse()
-                    .unwrap_or_else(|_| fail(format!("--fault-stuck {v}: bad row '{}'", parts[0])));
-                let col: usize = parts[1]
-                    .parse()
-                    .unwrap_or_else(|_| fail(format!("--fault-stuck {v}: bad col '{}'", parts[1])));
-                let stuck_value = match parts[2] {
-                    "0" => false,
-                    "1" => true,
-                    other => fail(format!("--fault-stuck {v}: value '{other}' must be 0 or 1")),
-                };
-                args.fault_stuck.push(StuckAt {
-                    row,
-                    col,
-                    value: stuck_value,
-                });
-            }
-            "--fault-seed" => {
-                let v = value();
-                args.fault_seed = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(format!("--fault-seed {v}: not an integer"))),
-                );
-            }
-            "--help" | "-h" => usage(),
-            _ => usage(),
+    while let Some(flag) = rest.next() {
+        if !(args.array.accept(&flag, &mut rest)?
+            || args.obs.accept(&flag, &mut rest)?
+            || set(&mut args, &flag, &mut rest)?)
+        {
+            return Err(cli::unknown(&flag));
         }
     }
-    if !args.check && args.gemm.is_none() && args.network.is_none() {
-        usage();
+    if !args.check && args.array.workloads.is_empty() {
+        return Err(CliError::Usage);
     }
-    args
+    Ok(args)
+}
+
+/// Applies one simulator flag `f`, reading its value from `rest`;
+/// `Ok(false)` when `f` is not a simulator flag.
+fn set(args: &mut Args, f: &str, rest: &mut impl Iterator<Item = String>) -> Result<bool, String> {
+    let mut value = || cli::value(f, rest);
+    match f {
+        "--check" => args.check = true,
+        "--instances" => args.instances = Some(cli::count(f, &value()?)?),
+        "--acc-width" => args.acc_width = Some(cli::int(f, &value()?)?),
+        "--fifo-depth" => args.fifo_depth = Some(cli::int(f, &value()?)?),
+        "--fault-seed" => args.fault_seed = Some(cli::int(f, &value()?)?),
+        "--fault-stuck" => args.fault_stuck.push(parse_stuck(&value()?)?),
+        "--fidelity" => {
+            let v = value()?;
+            args.fidelity = v.parse().map_err(|e| format!("{f} {v}: {e}"))?;
+        }
+        "--acc-budget" => {
+            let v = value()?;
+            match cli::real(f, &v)? {
+                b if b > 0.0 => args.acc_budget = Some(b),
+                _ => return Err(format!("{f} {v}: must be a positive fraction")),
+            }
+        }
+        "--fault-ber" => {
+            let v = value()?;
+            match cli::real(f, &v)? {
+                ber if (0.0..=1.0).contains(&ber) => args.fault_ber = Some(ber),
+                _ => return Err(format!("{f} {v}: must be a probability in [0, 1]")),
+            }
+        }
+        "--wiring" => {
+            let v = value()?;
+            args.wiring = match v.as_str() {
+                "shared" | "shared-delayed" => RngWiring::SharedDelayed,
+                "independent" => RngWiring::Independent,
+                _ => return Err(format!("{f} {v}: expected shared or independent")),
+            };
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Parses one `--fault-stuck R,C,V` site.
+fn parse_stuck(v: &str) -> Result<StuckAt, String> {
+    let parts: Vec<&str> = v.split(',').map(str::trim).collect();
+    let [row, col, value] = parts[..] else {
+        return Err(format!("--fault-stuck {v}: expected R,C,V (three fields)"));
+    };
+    Ok(StuckAt {
+        row: row
+            .parse()
+            .map_err(|_| format!("--fault-stuck {v}: bad row '{row}'"))?,
+        col: col
+            .parse()
+            .map_err(|_| format!("--fault-stuck {v}: bad col '{col}'"))?,
+        value: match value {
+            "0" => false,
+            "1" => true,
+            other => return Err(format!("--fault-stuck {v}: value '{other}' must be 0 or 1")),
+        },
+    })
 }
 
 /// The `--check` mode: static analysis of the raw knob values, no
-/// simulation. Exits 1 when any error-severity diagnostic fires.
-fn run_check(args: &Args) -> ! {
-    let (rows, cols) = if args.cloud {
-        (CLOUD_ROWS, CLOUD_COLS)
-    } else {
-        (EDGE_ROWS, EDGE_COLS)
-    };
-    let mut spec = RawSpec::new(rows, cols, args.scheme, args.bitwidth).with_wiring(args.wiring);
-    spec.mul_cycles = args.cycles;
+/// simulation. Returns exit code 1 when any error-severity diagnostic
+/// fires, 0 otherwise.
+fn run_check(args: &Args) -> i32 {
+    let array = &args.array;
+    let (rows, cols) = array.shape();
+    let mut spec = RawSpec::new(rows, cols, array.scheme, array.bitwidth).with_wiring(args.wiring);
+    spec.mul_cycles = array.cycles;
     spec.acc_width = args.acc_width;
     spec.fifo_depth = args.fifo_depth;
-
-    let no_sram = args.no_sram.unwrap_or(args.scheme.is_unary());
-    let memory = if no_sram {
-        MemoryHierarchy::no_sram()
-    } else if args.cloud {
-        MemoryHierarchy::cloud_with_sram()
-    } else {
-        MemoryHierarchy::edge_with_sram()
-    };
+    let memory = array.memory();
 
     // Spec-only checks, plus workload/memory checks per GEMM layer.
-    let network = args.network.as_deref().map(network_by_name);
-    let gemms: Vec<GemmConfig> = match (&args.gemm, &network) {
-        (Some(g), _) => vec![*g],
+    let network = array.network();
+    let gemms: Vec<GemmConfig> = match (array.gemm(), network) {
+        (Some(g), _) => vec![g],
         (None, Some(net)) => net.gemms(),
         (None, None) => Vec::new(),
     };
@@ -393,9 +229,8 @@ fn run_check(args: &Args) -> ! {
     };
     // Whole-network abstract interpretation: calibrated ranges, composed
     // ET error. Only meaningful when a full network is on the table.
-    let interp: Option<NetworkAnalysis> = network
-        .as_ref()
-        .map(|net| analyze_network(&spec, net, args.acc_budget));
+    let interp: Option<NetworkAnalysis> =
+        network.map(|net| analyze_network(&spec, net, args.acc_budget));
     if let Some(na) = &interp {
         // Calibrated ranges subsume the worst-case width rule: when the
         // interpreter proves every layer overflow-free, the coarse
@@ -413,7 +248,7 @@ fn run_check(args: &Args) -> ! {
         .diagnostics
         .sort_by(|a, b| (a.code, &a.message).cmp(&(b.code, &b.message)));
 
-    if args.json {
+    if args.obs.json {
         let mut json = report.to_json();
         if let (JsonValue::Object(pairs), Some(na)) = (&mut json, &interp) {
             pairs.push(("network".to_owned(), na.to_json()));
@@ -424,10 +259,14 @@ fn run_check(args: &Args) -> ! {
             "check: {}x{} {} {}b, wiring {}, {}",
             rows,
             cols,
-            args.scheme.label(),
-            args.bitwidth,
+            array.scheme.label(),
+            array.bitwidth,
             args.wiring,
-            if no_sram { "DRAM only" } else { "SRAM + DRAM" }
+            if array.no_sram() {
+                "DRAM only"
+            } else {
+                "SRAM + DRAM"
+            }
         );
         if let Some(na) = &interp {
             if !na.layers.is_empty() {
@@ -471,69 +310,31 @@ fn run_check(args: &Args) -> ! {
         }
         println!("{report}");
     }
-    std::process::exit(i32::from(!report.is_legal()));
-}
-
-fn network_by_name(name: &str) -> usystolic_models::zoo::Network {
-    match name {
-        "alexnet" => zoo::alexnet(),
-        "resnet18" => zoo::resnet18(),
-        "vgg16" => zoo::vgg16(),
-        "mnist" => zoo::mnist_cnn4(),
-        other => fail(format!(
-            "--network {other}: expected alexnet, resnet18, vgg16 or mnist"
-        )),
-    }
+    i32::from(!report.is_legal())
 }
 
 /// The device fault model assembled from the CLI flags, on the array's
 /// physical PE grid — `None` when no fault flag was given.
-fn device_faults(args: &Args) -> Option<DeviceFaults> {
+fn device_faults(args: &Args) -> Result<Option<DeviceFaults>, String> {
     if args.fault_ber.is_none() && args.fault_stuck.is_empty() && args.fault_seed.is_none() {
-        return None;
+        return Ok(None);
     }
-    let (rows, cols) = if args.cloud {
-        (CLOUD_ROWS, CLOUD_COLS)
-    } else {
-        (EDGE_ROWS, EDGE_COLS)
-    };
+    let (rows, cols) = args.array.shape();
     let mut faults = DeviceFaults::new(args.fault_seed.unwrap_or(1))
         .with_ber(args.fault_ber.unwrap_or(0.0))
         .with_grid(rows, cols);
     for &s in &args.fault_stuck {
         faults = faults.with_stuck(s);
     }
-    faults
-        .validate()
-        .unwrap_or_else(|e| fail(format!("fault model: {e}")));
-    Some(faults)
-}
-
-/// Root-mean-square error of `faulty` against `clean`, normalized by the
-/// clean RMS (absolute RMSE when the clean output is all zero).
-fn nrmse(faulty: &[i64], clean: &[i64]) -> f64 {
-    let n = clean.len() as f64;
-    let mse: f64 = faulty
-        .iter()
-        .zip(clean)
-        .map(|(&f, &c)| {
-            let d = (f - c) as f64;
-            d * d
-        })
-        .sum::<f64>()
-        / n;
-    let ref_ms: f64 = clean.iter().map(|&c| (c as f64) * (c as f64)).sum::<f64>() / n;
-    if ref_ms > 0.0 {
-        (mse / ref_ms).sqrt()
-    } else {
-        mse.sqrt()
-    }
+    faults.validate().map_err(|e| format!("fault model: {e}"))?;
+    Ok(Some(faults))
 }
 
 /// Outcome of the seeded device-fault characterization: both unary
 /// kernels and the binary baseline on the same sub-sampled GEMM window,
 /// each compared against its own quiet (fault-free) run.
 struct FaultCharacterization {
+    faults: DeviceFaults,
     shape: GemmShape,
     coding: Coding,
     serial: FaultReport,
@@ -547,24 +348,19 @@ struct FaultCharacterization {
 /// Runs the characterization. The layer's GEMM is sub-sampled to at most
 /// an 8×16×8 window so the bit-level simulation stays tractable on full
 /// layers; the fault model's `(seed, window, cycle)` determinism is
-/// untouched by the sampling.
+/// untouched by the sampling. `bitwidth` is the validated array
+/// configuration's.
 fn fault_characterization(
-    args: &Args,
+    scheme: ComputingScheme,
+    bitwidth: u32,
     faults: &DeviceFaults,
     gemm: &GemmConfig,
-) -> FaultCharacterization {
+) -> Result<FaultCharacterization, String> {
     let shape = GemmShape {
         m: gemm.output_pixels().min(8),
         k: gemm.reduction_len().min(16),
         n: gemm.output_channels().min(8),
     };
-    let bitwidth = args.bitwidth;
-    if !(2..=usystolic_unary::MAX_BITWIDTH).contains(&bitwidth) {
-        fail(format!(
-            "--bits {bitwidth}: fault injection needs 2..={}",
-            usystolic_unary::MAX_BITWIDTH
-        ));
-    }
     let hi = (stream_len(bitwidth) - 1).cast_signed();
     let mut rng = SplitMix64::new(faults.seed);
     let a: Vec<i64> = (0..shape.m * shape.k)
@@ -573,34 +369,33 @@ fn fault_characterization(
     let b: Vec<i64> = (0..shape.k * shape.n)
         .map(|_| rng.range_i64(-hi, hi))
         .collect();
-    let coding = match args.scheme {
+    let coding = match scheme {
         ComputingScheme::UnaryTemporal => Coding::Temporal,
         _ => Coding::Rate,
     };
     let quiet = DeviceFaults::new(faults.seed).with_grid(faults.rows, faults.cols);
+    let injected = |e| format!("fault injection: {e}");
     let run_unary = |model: &DeviceFaults, kernel: FaultKernel| {
-        faulty_unary_gemm(&a, &b, shape, bitwidth, coding, model, kernel)
-            .unwrap_or_else(|e| fail(format!("fault injection: {e}")))
+        faulty_unary_gemm(&a, &b, shape, bitwidth, coding, model, kernel).map_err(injected)
     };
-    let run_binary = |model: &DeviceFaults| {
-        faulty_binary_gemm(&a, &b, shape, bitwidth, model)
-            .unwrap_or_else(|e| fail(format!("fault injection: {e}")))
-    };
-    let unary_clean = run_unary(&quiet, FaultKernel::Packed);
-    let binary_clean = run_binary(&quiet);
-    let serial = run_unary(faults, FaultKernel::Serial);
-    let packed = run_unary(faults, FaultKernel::Packed);
-    let binary = run_binary(faults);
-    FaultCharacterization {
+    let run_binary =
+        |model: &DeviceFaults| faulty_binary_gemm(&a, &b, shape, bitwidth, model).map_err(injected);
+    let unary_clean = run_unary(&quiet, FaultKernel::Packed)?;
+    let binary_clean = run_binary(&quiet)?;
+    let serial = run_unary(faults, FaultKernel::Serial)?;
+    let packed = run_unary(faults, FaultKernel::Packed)?;
+    let binary = run_binary(faults)?;
+    Ok(FaultCharacterization {
+        faults: faults.clone(),
         shape,
         coding,
-        unary_nrmse: nrmse(&packed.output, &unary_clean.output),
-        binary_nrmse: nrmse(&binary.output, &binary_clean.output),
+        unary_nrmse: nrmse(&packed, &unary_clean),
+        binary_nrmse: nrmse(&binary, &binary_clean),
         kernels_agree: serial == packed,
         serial,
         packed,
         binary,
-    }
+    })
 }
 
 impl FaultCharacterization {
@@ -614,7 +409,8 @@ impl FaultCharacterization {
         ])
     }
 
-    fn to_json(&self, faults: &DeviceFaults) -> JsonValue {
+    fn to_json(&self) -> JsonValue {
+        let faults = &self.faults;
         JsonValue::object(vec![
             ("seed", faults.seed.to_json()),
             ("ber", faults.ber.to_json()),
@@ -641,7 +437,8 @@ impl FaultCharacterization {
         ])
     }
 
-    fn print_human(&self, faults: &DeviceFaults) {
+    fn print_human(&self) {
+        let faults = &self.faults;
         println!(
             "\nfault injection  seed {} BER {:.2e} stuck {} ({} coding, {}x{}x{} window)",
             faults.seed,
@@ -667,91 +464,43 @@ impl FaultCharacterization {
     }
 }
 
-/// Writes the observability artefacts collected during the run.
-fn export_session(args: &Args, session: &usystolic_obs::Session) {
-    if let Some(path) = &args.trace {
-        session
-            .tracer
-            .write_chrome(path)
-            .unwrap_or_else(|e| fail(format!("writing trace to {}: {e}", path.display())));
-        if !args.json {
-            eprintln!(
-                "trace:  {} ({} events, {} dropped)",
-                path.display(),
-                session.tracer.len(),
-                session.tracer.dropped()
-            );
-        }
+fn main() {
+    let args = cli::or_exit("sim_cli", USAGE, parse(std::env::args().skip(1)));
+    if args.check {
+        std::process::exit(run_check(&args));
     }
-    if let Some(path) = &args.metrics {
-        match args.metrics_format {
-            MetricsFormat::Json => session
-                .metrics
-                .write_snapshot(path)
-                .unwrap_or_else(|e| fail(format!("writing metrics to {}: {e}", path.display()))),
-            MetricsFormat::Prom => {
-                std::fs::write(path, usystolic_obs::prometheus_text(&session.metrics))
-                    .unwrap_or_else(|e| fail(format!("writing metrics to {}: {e}", path.display())))
-            }
-        }
-        if !args.json {
-            eprintln!("metrics: {}", path.display());
-        }
-    }
-    if let Some(path) = &args.report_html {
-        let html = usystolic_obs::html_report("sim_cli observability report", &session.metrics);
-        std::fs::write(path, html)
-            .unwrap_or_else(|e| fail(format!("writing report to {}: {e}", path.display())));
-        if !args.json {
-            eprintln!("report: {}", path.display());
-        }
-    }
-    if session.tracer.dropped() > 0 {
-        eprintln!(
-            "sim_cli: warning: trace ring full, {} span(s) dropped (oldest first); \
-             raise the tracer capacity to keep them",
-            session.tracer.dropped()
-        );
+    if let Err(e) = simulate(&args) {
+        cli::die("sim_cli", &e);
     }
 }
 
-fn main() {
-    let args = parse_args();
-    if args.check {
-        run_check(&args);
-    }
-    let mut config = if args.cloud {
-        SystolicConfig::cloud(args.scheme, args.bitwidth)
-    } else {
-        SystolicConfig::edge(args.scheme, args.bitwidth)
-    };
-    if let Some(c) = args.cycles {
-        config = config
-            .with_mul_cycles(c)
-            .unwrap_or_else(|e| fail(format!("--cycles: {e}")));
-    }
-    // Default: binary keeps SRAM, unary drops it (the paper's conclusion).
-    let no_sram = args.no_sram.unwrap_or(args.scheme.is_unary());
-    let memory = if no_sram {
-        MemoryHierarchy::no_sram()
-    } else if args.cloud {
-        MemoryHierarchy::cloud_with_sram()
-    } else {
-        MemoryHierarchy::edge_with_sram()
+/// Simulates the layer or network and prints its evaluation record.
+fn simulate(args: &Args) -> Result<(), String> {
+    let config = args.array.config()?;
+    let memory = args.array.memory();
+    let faults = device_faults(args)?;
+    let characterize = |gemm: &GemmConfig| {
+        faults
+            .as_ref()
+            .map(|f| fault_characterization(config.scheme(), config.bitwidth(), f, gemm))
+            .transpose()
     };
 
     // Collect traces/metrics only when asked for: with no session the
     // instrumented hot paths stay allocation-free.
-    let observing = args.trace.is_some() || args.metrics.is_some() || args.report_html.is_some();
-    if observing {
+    if args.obs.observing() {
         usystolic_obs::install(usystolic_obs::Session::new());
     }
+    let export = || match usystolic_obs::take() {
+        Some(session) => args.obs.export("sim_cli", &session),
+        None => Ok(()),
+    };
 
-    if !args.json {
+    if !args.obs.json {
         println!("array:  {config}");
         println!(
             "memory: {}",
-            if no_sram {
+            if args.array.no_sram() {
                 "DRAM only (SRAM eliminated)"
             } else {
                 "SRAM + DRAM"
@@ -759,35 +508,26 @@ fn main() {
         );
     }
 
-    let faults = device_faults(&args);
     let sim = Simulator::new(config, memory).with_fidelity(args.fidelity);
 
-    if let Some(gemm) = args.gemm {
+    if let Some(gemm) = args.array.gemm() {
         let ev = evaluate_layer_with(&sim, &gemm);
         let scaling = args
             .instances
             .map(|n| MultiInstanceSystem::new(config, memory).scale(&gemm, n));
-        let characterization = faults
-            .as_ref()
-            .map(|f| fault_characterization(&args, f, &gemm));
-        if let Some(session) = usystolic_obs::take() {
-            export_session(&args, &session);
-        }
-        if args.json {
+        let characterization = characterize(&gemm)?;
+        export()?;
+        if args.obs.json {
             let mut pairs = vec![
                 ("config", config.to_json()),
                 ("memory", memory.to_json()),
                 ("gemm", gemm.to_json()),
                 ("evaluation", ev.to_json()),
             ];
-            if let Some(s) = &scaling {
-                pairs.push(("scaling", s.to_json()));
-            }
-            if let (Some(f), Some(c)) = (&faults, &characterization) {
-                pairs.push(("faults", c.to_json(f)));
-            }
+            pairs.extend(scaling.as_ref().map(|s| ("scaling", s.to_json())));
+            pairs.extend(characterization.as_ref().map(|c| ("faults", c.to_json())));
             println!("{}", JsonValue::object(pairs).render());
-            return;
+            return Ok(());
         }
         println!("layer:  {gemm}\n");
         println!(
@@ -820,26 +560,20 @@ fn main() {
         if let Some(s) = &scaling {
             println!("\n{}", scaling_line(s));
         }
-        if let (Some(f), Some(c)) = (&faults, &characterization) {
-            c.print_human(f);
+        if let Some(c) = &characterization {
+            c.print_human();
         }
-        return;
+        return Ok(());
     }
 
-    let network = match args.network.as_deref() {
-        Some(name) => network_by_name(name),
-        None => usage(),
-    };
+    let network = args.array.network().ok_or("nothing to simulate")?;
     let ev = NetworkEvaluation::evaluate_with(&sim, &network.gemms());
     // Device faults characterize on the network's first layer.
-    let characterization = faults.as_ref().map(|f| {
-        let first = network
-            .gemms()
-            .first()
-            .copied()
-            .unwrap_or_else(|| fail("fault injection: network has no layers"));
-        fault_characterization(&args, f, &first)
-    });
+    let characterization = match network.gemms().first() {
+        Some(first) => characterize(first)?,
+        None if faults.is_some() => return Err("fault injection: network has no layers".into()),
+        None => None,
+    };
     let scaling: Vec<(String, ScalingReport)> = match args.instances {
         Some(n) => {
             let sys = MultiInstanceSystem::new(config, memory);
@@ -852,17 +586,15 @@ fn main() {
         }
         None => Vec::new(),
     };
-    if let Some(session) = usystolic_obs::take() {
-        export_session(&args, &session);
-    }
-    if args.json {
+    export()?;
+    if args.obs.json {
         let mut pairs = vec![
             ("config", config.to_json()),
             ("memory", memory.to_json()),
             ("network", network.to_json()),
             ("evaluation", ev.to_json()),
         ];
-        let scaling_json: Vec<JsonValue> = scaling
+        let layers: Vec<JsonValue> = scaling
             .iter()
             .map(|(name, s)| {
                 let mut obj = s.to_json();
@@ -872,14 +604,10 @@ fn main() {
                 obj
             })
             .collect();
-        if !scaling_json.is_empty() {
-            pairs.push(("scaling", JsonValue::Array(scaling_json)));
-        }
-        if let (Some(f), Some(c)) = (&faults, &characterization) {
-            pairs.push(("faults", c.to_json(f)));
-        }
+        pairs.extend((!layers.is_empty()).then_some(("scaling", JsonValue::Array(layers))));
+        pairs.extend(characterization.as_ref().map(|c| ("faults", c.to_json())));
         println!("{}", JsonValue::object(pairs).render());
-        return;
+        return Ok(());
     }
     println!(
         "network: {} ({} GEMM layers, {} parameters)\n",
@@ -926,9 +654,10 @@ fn main() {
             println!("{name:<10} {}", scaling_line(s));
         }
     }
-    if let (Some(f), Some(c)) = (&faults, &characterization) {
-        c.print_human(f);
+    if let Some(c) = &characterization {
+        c.print_human();
     }
+    Ok(())
 }
 
 /// One human-readable line of a [`ScalingReport`].
@@ -940,4 +669,37 @@ fn scaling_line(s: &ScalingReport) -> String {
         100.0 * s.scaling_efficiency,
         if s.dram_limited { ", DRAM-limited" } else { "" }
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(args: &[&str]) -> Result<Args, CliError> {
+        parse(args.iter().map(|s| (*s).to_owned()))
+    }
+
+    #[test]
+    fn check_mode_passes_raw_bits_to_the_analyzer() {
+        let args = parsed(&["--check", "--bits", "0"]).unwrap();
+        assert_eq!(args.array.bitwidth, 0);
+        assert_eq!(run_check(&args), 1);
+    }
+
+    #[test]
+    fn nothing_to_simulate_prints_usage() {
+        assert_eq!(parsed(&[]).err(), Some(CliError::Usage));
+        assert_eq!(parsed(&["--help"]).err(), Some(CliError::Usage));
+    }
+
+    #[test]
+    fn fault_flags_are_range_checked() {
+        for (flag, v) in [("--fault-ber", "1.5"), ("--fault-stuck", "2,3,7")] {
+            let err = parsed(&["--matmul", "4,4,4", flag, v]).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Invalid(m) if m.starts_with(&format!("{flag} {v}: "))),
+                "{err:?}"
+            );
+        }
+    }
 }

@@ -83,8 +83,10 @@ pub struct FaultsBench {
     pub unary_graceful: bool,
 }
 
-/// NRMSE of `faulty` against `clean`, normalized by the clean RMS.
-fn nrmse(faulty: &FaultReport, clean: &FaultReport) -> f64 {
+/// NRMSE of `faulty` against `clean`, normalized by the clean RMS
+/// (absolute RMSE when the clean output is all zero).
+#[must_use]
+pub fn nrmse(faulty: &FaultReport, clean: &FaultReport) -> f64 {
     let n = clean.output.len() as f64;
     let mse: f64 = faulty
         .output
@@ -109,10 +111,18 @@ fn nrmse(faulty: &FaultReport, clean: &FaultReport) -> f64 {
     }
 }
 
-/// Runs the characterization. `short` shrinks the GEMM window for CI
-/// smoke runs; `seed` keys every fault site and the operand draw.
+/// Seed of every fault site and of the operand draw.
+pub const SEED: u64 = 0x5eed_fa11;
+
+/// Runs the characterization at [`SEED`]. `short` shrinks the GEMM
+/// window for CI smoke runs.
 #[must_use]
-pub fn run(short: bool, seed: u64) -> FaultsBench {
+pub fn run(short: bool) -> FaultsBench {
+    run_seeded(short, SEED)
+}
+
+/// [`run`] with `seed` keying every fault site and the operand draw.
+fn run_seeded(short: bool, seed: u64) -> FaultsBench {
     let (m, k, n) = if short { (4, 8, 4) } else { (8, 16, 8) };
     let shape = GemmShape { m, k, n };
     let bitwidth = 8u32;
@@ -251,7 +261,7 @@ mod tests {
 
     #[test]
     fn short_bench_pins_graceful_degradation() {
-        let bench = run(true, 0x5eed_fa11);
+        let bench = run(true);
         assert!(bench.kernels_agree, "serial and packed kernels diverged");
         assert!(bench.deterministic, "replay changed the checksum");
         assert!(
@@ -268,17 +278,17 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_the_whole_report() {
-        let x = run(true, 9);
-        let y = run(true, 9);
+        let x = run_seeded(true, 9);
+        let y = run_seeded(true, 9);
         let (jx, jy) = (x.to_json().render(), y.to_json().render());
         assert_eq!(jx, jy);
-        let z = run(true, 10);
+        let z = run_seeded(true, 10);
         assert_ne!(jx, z.to_json().render());
     }
 
     #[test]
     fn json_and_table_carry_the_curve() {
-        let bench = run(true, 1);
+        let bench = run_seeded(true, 1);
         let json = bench.to_json().render();
         assert!(json.contains("\"unary_graceful\""), "{json}");
         assert!(json.contains("\"points\""), "{json}");

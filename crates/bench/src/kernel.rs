@@ -30,11 +30,11 @@ pub struct KernelBench {
     pub bitwidth: u32,
     /// Input vectors pushed through the tile.
     pub vectors: usize,
-    /// Timing iterations (best-of).
+    /// Interleaved timing rounds per side (best-of).
     pub iters: usize,
-    /// Bit-serial wall time, microseconds (best of `iters`).
+    /// Bit-serial wall time per call, microseconds (best of `iters`).
     pub serial_us: f64,
-    /// Word-packed wall time, microseconds (best of `iters`).
+    /// Word-packed wall time per call, microseconds (best of `iters`).
     pub packed_us: f64,
     /// `serial_us / packed_us`.
     pub speedup: f64,
@@ -114,25 +114,65 @@ fn headline_case(tile: usize, vectors: usize) -> (GemmConfig, Matrix<i64>, Matri
     (gemm, input, weights)
 }
 
-fn time_best(iters: usize, mut f: impl FnMut() -> u64) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut last = 0u64;
-    for _ in 0..iters.max(1) {
+/// Worker counts of the determinism sweep.
+pub const WORKERS: [usize; 4] = [1, 2, 4, 8];
+
+/// Timed rounds per side in the full run.
+const ROUNDS: usize = 5;
+
+/// Wall time each full-run round fills per side, microseconds: every
+/// side runs for at least `ROUNDS × ROUND_US` = 20 ms.
+const ROUND_US: f64 = 4_000.0;
+
+/// Times two sides in `rounds` interleaved rounds and returns each side's
+/// best per-call time over the rounds (microseconds) and its checksum.
+/// An untimed warm-up call sizes each side's batch to fill `round_us`, and
+/// each round times one batch of either side back to back, so a burst of
+/// host load lands on both sides instead of on one short run.
+fn time_sides(
+    rounds: usize,
+    round_us: f64,
+    mut sides: [&mut dyn FnMut() -> u64; 2],
+) -> [(f64, u64); 2] {
+    let mut best = [(f64::INFINITY, 0u64); 2];
+    let mut reps = [1usize; 2];
+    for ((side, best), reps) in sides.iter_mut().zip(&mut best).zip(&mut reps) {
         let t0 = Instant::now();
-        last = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
+        best.1 = side();
+        let warm_us = t0.elapsed().as_secs_f64() * 1e6;
+        *reps = (round_us / warm_us.max(1e-3)).ceil().max(1.0) as usize;
     }
-    (best, last)
+    for _ in 0..rounds.max(1) {
+        for ((side, best), &reps) in sides.iter_mut().zip(&mut best).zip(&reps) {
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                best.1 = side();
+            }
+            best.0 = best.0.min(t0.elapsed().as_secs_f64() * 1e6 / reps as f64);
+        }
+    }
+    best
 }
 
-/// One serial-vs-fast comparison: best-of timings, speedup, and a
-/// bit-exactness verdict that also replays the fast path at every
-/// requested worker count (outputs *and* cycle statistics must agree).
+/// One serial-vs-fast comparison: interleaved timings, both checksums,
+/// and whether the fast path replays its checksum at every worker count
+/// of [`WORKERS`] (outputs *and* cycle statistics must agree).
 struct PairTiming {
     serial_us: f64,
     fast_us: f64,
-    speedup: f64,
-    exact: bool,
+    checksum_serial: u64,
+    checksum_fast: u64,
+    workers_consistent: bool,
+}
+
+impl PairTiming {
+    fn speedup(&self) -> f64 {
+        self.serial_us / self.fast_us.max(1e-9)
+    }
+
+    fn exact(&self) -> bool {
+        self.checksum_serial == self.checksum_fast && self.workers_consistent
+    }
 }
 
 fn timed_pair(
@@ -140,66 +180,44 @@ fn timed_pair(
     gemm: &GemmConfig,
     input: &Matrix<i64>,
     weights: &Matrix<i64>,
-    iters: usize,
-    workers: &[usize],
+    short: bool,
 ) -> PairTiming {
-    let (serial_us, checksum_serial) = time_best(iters, || {
-        let (out, stats) =
-            cycle_accurate_gemm_with(cfg, gemm, input, weights, KernelMode::Serial, 1)
-                .expect("serial run");
+    let run = |mode: KernelMode, workers: usize| {
+        let (out, stats) = cycle_accurate_gemm_with(cfg, gemm, input, weights, mode, workers)
+            .expect("benchmark run");
         checksum(&out, &stats)
-    });
-    let (fast_us, checksum_fast) = time_best(iters, || {
-        let (out, stats) =
-            cycle_accurate_gemm_with(cfg, gemm, input, weights, KernelMode::Packed, 1)
-                .expect("fast run");
-        checksum(&out, &stats)
-    });
-    let mut exact = checksum_serial == checksum_fast;
-    for &w in workers {
-        let (out, stats) =
-            cycle_accurate_gemm_with(cfg, gemm, input, weights, KernelMode::Packed, w)
-                .expect("worker run");
-        exact &= checksum(&out, &stats) == checksum_fast;
-    }
+    };
+    let (rounds, round_us) = if short { (1, 0.0) } else { (ROUNDS, ROUND_US) };
+    let [(serial_us, checksum_serial), (fast_us, checksum_fast)] = time_sides(
+        rounds,
+        round_us,
+        [&mut || run(KernelMode::Serial, 1), &mut || {
+            run(KernelMode::Packed, 1)
+        }],
+    );
     PairTiming {
         serial_us,
         fast_us,
-        speedup: serial_us / fast_us.max(1e-9),
-        exact,
+        checksum_serial,
+        checksum_fast,
+        workers_consistent: WORKERS
+            .iter()
+            .all(|&w| run(KernelMode::Packed, w) == checksum_fast),
     }
 }
 
-/// Runs the kernel benchmark. `short` shrinks the vector count and the
-/// timing iterations for CI smoke runs; `workers` is the determinism
-/// sweep (deduplicated order kept).
+/// Runs the kernel benchmark. `short` shrinks the vector count and times
+/// each side once, for CI smoke runs.
 #[must_use]
-pub fn run(short: bool, workers: &[usize]) -> KernelBench {
+pub fn run(short: bool) -> KernelBench {
     let tile = 16usize;
     let bitwidth = 8u32;
-    let (vectors, iters) = if short { (4, 1) } else { (16, 3) };
-    let workers: Vec<usize> = if workers.is_empty() {
-        vec![1, 2, 4, 8]
-    } else {
-        workers.to_vec()
-    };
+    let vectors = if short { 4 } else { 16 };
     let cfg = SystolicConfig::new(tile, tile, ComputingScheme::UnaryRate, bitwidth)
         .expect("valid benchmark configuration")
         .with_acc_width(32);
     let (gemm, input, weights) = headline_case(tile, vectors);
-
-    let (serial_us, checksum_serial) = time_best(iters, || {
-        let (out, stats) =
-            cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Serial, 1)
-                .expect("serial run");
-        checksum(&out, &stats)
-    });
-    let (packed_us, checksum_packed) = time_best(iters, || {
-        let (out, stats) =
-            cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Packed, 1)
-                .expect("packed run");
-        checksum(&out, &stats)
-    });
+    let headline = timed_pair(&cfg, &gemm, &input, &weights, short);
 
     // EBT × scheme bit-exactness sweep (small case keeps smoke runs fast).
     // uGEMM-H rejects true early termination, so it rides along at the
@@ -240,21 +258,13 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
         }
     }
 
-    // Worker determinism: the packed checksum must never move.
-    let workers_consistent = workers.iter().all(|&w| {
-        let (out, stats) =
-            cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Packed, w)
-                .expect("worker run");
-        checksum(&out, &stats) == checksum_packed
-    });
-
     // Closed-form temporal window (uGEMM-T): the dispatch table resolves
     // the fast path to `KernelPath::ClosedForm`, so no stream is ever
     // materialised — window ones come from the prefix-count arithmetic.
     let temporal_cfg = SystolicConfig::new(tile, tile, ComputingScheme::UnaryTemporal, bitwidth)
         .expect("valid temporal configuration")
         .with_acc_width(32);
-    let temporal = timed_pair(&temporal_cfg, &gemm, &input, &weights, iters, &workers);
+    let temporal = timed_pair(&temporal_cfg, &gemm, &input, &weights, short);
 
     // Packed bipolar uGEMM-H: constant-sign enable masks replace the
     // conditionally-advanced RNG walk. Saturation statistics must agree
@@ -269,14 +279,7 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
     .expect("valid hybrid configuration")
     .with_acc_width(32);
     let (hybrid_gemm, hybrid_in, hybrid_w) = headline_case(hybrid_tile, vectors.min(8));
-    let hybrid = timed_pair(
-        &hybrid_cfg,
-        &hybrid_gemm,
-        &hybrid_in,
-        &hybrid_w,
-        iters,
-        &workers,
-    );
+    let hybrid = timed_pair(&hybrid_cfg, &hybrid_gemm, &hybrid_in, &hybrid_w, short);
 
     // Multi-word reduction: a 14-bit rate-coded stream is 2^13 bits =
     // 128 u64 words per comparator stream, exercising the unrolled
@@ -292,35 +295,35 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
     .expect("valid multi-word configuration")
     .with_acc_width(32);
     let (mw_gemm, mw_in, mw_w) = headline_case(multiword_tile, 2);
-    let multiword = timed_pair(&multiword_cfg, &mw_gemm, &mw_in, &mw_w, iters, &workers);
-    bit_exact &= multiword.exact;
+    let multiword = timed_pair(&multiword_cfg, &mw_gemm, &mw_in, &mw_w, short);
+    bit_exact &= multiword.exact();
 
     KernelBench {
         tile,
         bitwidth,
         vectors,
-        iters,
-        serial_us,
-        packed_us,
-        speedup: serial_us / packed_us.max(1e-9),
-        checksum_serial,
-        checksum_packed,
-        checksums_match: checksum_serial == checksum_packed,
+        iters: if short { 1 } else { ROUNDS },
+        serial_us: headline.serial_us,
+        packed_us: headline.fast_us,
+        speedup: headline.speedup(),
+        checksum_serial: headline.checksum_serial,
+        checksum_packed: headline.checksum_fast,
+        checksums_match: headline.checksum_serial == headline.checksum_fast,
         bit_exact,
-        workers,
-        workers_consistent,
+        workers: WORKERS.to_vec(),
+        workers_consistent: headline.workers_consistent,
         temporal_serial_us: temporal.serial_us,
         temporal_closed_us: temporal.fast_us,
-        temporal_speedup: temporal.speedup,
-        temporal_bit_exact: temporal.exact,
+        temporal_speedup: temporal.speedup(),
+        temporal_bit_exact: temporal.exact(),
         hybrid_serial_us: hybrid.serial_us,
         hybrid_packed_us: hybrid.fast_us,
-        hybrid_speedup: hybrid.speedup,
-        hybrid_bit_exact: hybrid.exact,
+        hybrid_speedup: hybrid.speedup(),
+        hybrid_bit_exact: hybrid.exact(),
         multiword_bitwidth,
         multiword_serial_us: multiword.serial_us,
         multiword_packed_us: multiword.fast_us,
-        multiword_speedup: multiword.speedup,
+        multiword_speedup: multiword.speedup(),
     }
 }
 
@@ -433,7 +436,7 @@ mod tests {
 
     #[test]
     fn short_bench_is_exact_and_deterministic() {
-        let report = run(true, &[1, 2, 3]);
+        let report = run(true);
         assert!(report.checksums_match, "serial vs packed checksums differ");
         assert!(report.bit_exact, "EBT sweep found a mismatch");
         assert!(report.workers_consistent, "worker count changed results");

@@ -71,8 +71,8 @@ pub struct FileRules {
 /// Library code is everything under `crates/*/src` and the facade `src/`,
 /// except binary entry points (`src/bin`, `main.rs`, `build.rs`), the
 /// `xtask` tool itself, and the `bench` experiment harness (whose library
-/// modules exist to serve its `exp_*`/`sim_cli` binaries and may abort on
-/// impossible configurations). The narrowing rule covers the
+/// modules exist to serve its `exp`/`sim_cli`/`serve_cli` binaries and
+/// may abort on impossible configurations). The narrowing rule covers the
 /// accumulator/shift implementation crates (`core`, `unary`); the
 /// wall-clock rule covers the cycle-deterministic crates (`des`, `sim`,
 /// `unary`); the determinism-taint rule covers every crate whose output

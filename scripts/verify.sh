@@ -29,16 +29,11 @@ echo "==> cargo run --release -p xtask --offline -- lint"
 cargo run --release -p xtask --offline -- lint
 
 echo "==> committed results regenerate byte for byte"
-# exp_accuracy and exp_ablation stay out of this gate until the drift of
-# their committed files is explained (ROADMAP.md, "Gate every committed
-# result, and explain the two that drifted").
-for exp in area bandwidth design_space efficiency energy power system \
-    table1 throughput; do
-    out=$(mktemp /tmp/usystolic_exp_$exp.XXXXXX.txt)
-    ./target/release/exp_$exp > "$out"
-    diff -u "results/exp_$exp.txt" "$out"
-    rm -f "$out"
-done
+# tests/results.rs renders every registry entry in-process and compares
+# it with results/exp_<name>.txt; exp accuracy and exp ablation stay out
+# there until the drift of their committed files is explained (ROADMAP.md,
+# "Gate every committed result, and explain the two that drifted").
+cargo test -q --offline --test results
 
 echo "==> sim_cli --check rejection smoke tests"
 cli=./target/release/sim_cli
@@ -113,7 +108,7 @@ rm -f "$trace" "$metrics"
 
 echo "==> kernel bench smoke test (fast paths vs serial bit-exactness)"
 bench_json=$(mktemp /tmp/usystolic_kernel.XXXXXX.json)
-./target/release/exp_kernel --short --out "$bench_json" > /dev/null
+./target/release/exp kernel --quick --out "$bench_json" > /dev/null
 grep -q '"checksums_match":true' "$bench_json"
 grep -q '"bit_exact":true' "$bench_json"
 grep -q '"workers_consistent":true' "$bench_json"
@@ -130,10 +125,10 @@ obs=./target/release/obs_cli
 # A fresh kernel bench must hold every baseline speedup within 20% —
 # the substring gate covers speedup, temporal_speedup, hybrid_speedup
 # and multiword_speedup alike.
-# Full mode (~40 ms), matching how the committed baseline was produced:
-# --short measures a smaller case whose ratio is not comparable.
+# Full mode (~0.3 s), matching how the committed baseline was produced:
+# --quick measures a smaller case whose ratio is not comparable.
 kernel_now=$(mktemp /tmp/usystolic_kernel_now.XXXXXX.json)
-./target/release/exp_kernel --out "$kernel_now" > /dev/null
+./target/release/exp kernel --out "$kernel_now" > /dev/null
 "$obs" diff BENCH_kernel.json "$kernel_now" --gate speedup --threshold 20
 # ...and the gate must actually bite: a synthetic regression exits 1.
 kernel_bad=$(mktemp /tmp/usystolic_kernel_bad.XXXXXX.json)
@@ -192,9 +187,9 @@ cmp -s "$a.norm" "$b.norm" || {
 }
 rm -f "$a" "$b" "$a.norm" "$b.norm"
 
-echo "==> exp_faults smoke test (accuracy vs BER, graceful degradation)"
+echo "==> exp faults smoke test (accuracy vs BER, graceful degradation)"
 faults_json=$(mktemp /tmp/usystolic_faults.XXXXXX.json)
-./target/release/exp_faults --short --out "$faults_json" > /dev/null
+./target/release/exp faults --quick --out "$faults_json" > /dev/null
 grep -q '"kernels_agree":true' "$faults_json"
 grep -q '"deterministic":true' "$faults_json"
 grep -q '"unary_graceful":true' "$faults_json"
@@ -266,9 +261,9 @@ sys.exit(0 if abs(est - exact) / max(exact, 1) <= 0.25 else 1)
 }
 rm -f "$fc" "$fp" "$fn"
 
-echo "==> exp_des smoke test (fleet fidelity speedup + tolerance)"
+echo "==> exp des smoke test (fleet fidelity speedup + tolerance)"
 des_json=$(mktemp /tmp/usystolic_des.XXXXXX.json)
-./target/release/exp_des --short --out "$des_json" > /dev/null
+./target/release/exp des --quick --out "$des_json" > /dev/null
 grep -q '"packed_bit_identical":true' "$des_json"
 grep -q '"estimates_within_tolerance":true' "$des_json"
 grep -q '"speedup_target_met":true' "$des_json"
